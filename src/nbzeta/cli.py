@@ -20,6 +20,7 @@ from .census import (
     reproduce_section8,
     run_census,
     section8_table,
+    summary_fields,
 )
 from .errors import NbzetaError
 from .graphs import parse_graph
@@ -63,16 +64,10 @@ def _cmd_census(args):
         workers=args.workers,
     )
     result = run_census(config, out_path=args.out)
-    print(
-        json.dumps(
-            {
-                "mean": result.mean,
-                "stderr": result.stderr,
-                "samples": result.samples,
-                "failures": result.failures,
-            }
-        )
-    )
+    print(json.dumps(summary_fields(result), allow_nan=False))
+    if result.samples == 0:
+        print(f"error: all {result.failures} samples failed", file=sys.stderr)
+        return 1
     return 0
 
 

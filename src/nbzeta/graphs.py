@@ -137,12 +137,13 @@ def adjacency_matrix(g):
     return A
 
 
-def adjacency_sparse(g):
-    """CSR adjacency for large graphs (float data for eigensolvers)."""
+def adjacency_sparse(g, dtype=float):
+    """CSR adjacency for large graphs (float data for eigensolvers, int64
+    for exact products); duplicate directed edges sum."""
     n = g.vertex_count
     m = g.directed_edge_count
     return sp.csr_matrix(
-        (np.ones(m), (g.tails, g.heads)), shape=(n, n)
+        (np.ones(m, dtype=dtype), (g.tails, g.heads)), shape=(n, n)
     )
 
 

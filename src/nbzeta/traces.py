@@ -3,6 +3,21 @@ trace estimates, a tiny-n enumeration oracle, and 1/n expansion fits.
 
 Tr(H^k) counts the strictly non-backtracking closed walks of length k, so
 every trace here is an exact integer; estimates only average them.
+
+tr_hashimoto_power takes one of two exact int64 routes:
+
+- regular graphs: Dickson matrices of the n x n adjacency A (the Ihara
+  identity turns Spec H into Spec A), never building the m x m H; dense
+  for n <= 64, CSR above.
+  Guards: n (q^a + 1)(q^b + 1) < 2^62 with q = d - 1, a = ceil(k/2),
+  b = floor(k/2), and a fill of min(n^2, n |ball of radius a|) within
+  the sparse budget;
+- irregular graphs: the split Tr(H^a (H^b)^T) on the sparse Hashimoto
+  matrix.  Guards: m s^k < 2^62 with s the largest line-graph out-degree,
+  and a fill of min(m^2, m s^a) within the same budget.
+
+Either guard failing raises TooLarge; count_closed_nb_walks is the
+independent walk-enumeration oracle for small graphs.
 """
 
 import itertools
@@ -10,9 +25,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import IllConditioned, InvalidParams, TooLarge
-from .graphs import degrees, directed_line_graph, hashimoto_matrix, hashimoto_sparse
+from .graphs import (
+    adjacency_matrix,
+    adjacency_sparse,
+    degrees,
+    directed_line_graph,
+    graph_counts,
+    hashimoto_matrix,  # noqa: F401  perfbench/tracing.py wraps this name
+    hashimoto_sparse,
+    regularity,
+)
 from .models import (
     sample_cover,
     sample_matching_model,
@@ -22,10 +47,12 @@ from .models import (
 )
 from .rng import derive_seed
 
-# numpy integer matmul bypasses BLAS; keep the dense path to small matrices
-# and let scipy's sparse integer SpMM (C speed) carry everything else
-_DENSE_TRACE_LIMIT = 256
+# cap on the stored entries of any one sparse power: n * |ball of radius
+# ceil(k/2)| for the Dickson route, m * s**ceil(k/2) for the H split
 _SPARSE_NNZ_BUDGET = 40_000_000
+_INT64_GUARD = 2 ** 62
+# below this n, dense int64 Dickson products beat scipy's per-call overhead
+_DENSE_DICKSON_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -53,16 +80,14 @@ class ExpansionFit:
     residual_norm: float
 
 
-def _max_out_degree(g):
-    # line-graph out-degree of edge e is deg(head(e)) - 1
-    if g.directed_edge_count == 0:
-        return 0
-    deg = degrees(g)
-    return max(int(deg[h]) - 1 for h in g.heads.tolist())
-
-
 def tr_hashimoto_power(g, k):
-    """Exact Tr(H^k) as a Python int."""
+    """Exact Tr(H^k) as a Python int.
+
+    Regular graphs take the Dickson route on the n x n adjacency A;
+    irregular graphs take the sparse split on the m x m Hashimoto H.
+    Raises TooLarge when int64 products could overflow or a sparse power
+    would exceed the fill budget.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
     m = g.directed_edge_count
@@ -70,34 +95,76 @@ def tr_hashimoto_power(g, k):
         return m
     if m == 0:
         return 0
-    s = max(_max_out_degree(g), 1)
-    if m * s ** k >= 2 ** 62:
+    d = regularity(g)
+    if d is not None:
+        return _tr_regular(g, d, k)
+    return _tr_irregular(g, k)
+
+
+def _tr_regular(g, d, k):
+    """Tr(H^k) from Dickson matrices of A.
+
+    By the Ihara identity, Spec H is the two roots of mu^2 - lam*mu + q
+    for each adjacency eigenvalue lam (q = d - 1), -1 once per half-loop,
+    and +1, -1 each with multiplicity pairs - V.  The root pairs sum to
+    D_k(lam), where D_0 = 2, D_1 = x, D_j = x D_{j-1} - q D_{j-2}, so
+    their part of the trace is Tr D_k(A).  With a = ceil(k/2) and
+    b = floor(k/2), D_k = D_a D_b - q^b D_{a-b}, and D_a(A), D_b(A) are
+    symmetric, so Tr D_k(A) = sum(D_a(A) * D_b(A)) - q^b Tr D_{a-b}(A).
+    """
+    n = g.vertex_count
+    q = d - 1
+    a, b = (k + 1) // 2, k // 2
+    # |D_j(lam)| <= q^j + 1 for |lam| <= d bounds every entry of D_j(A),
+    # and n (q^a + 1)(q^b + 1) bounds every partial sum of the product
+    if n * (q ** a + 1) * (q ** b + 1) >= _INT64_GUARD:
+        raise TooLarge("entries of the Dickson matrices overflow int64")
+    ball = 1 + sum(d * q ** j for j in range(a))
+    if min(n * n, n * ball) > _SPARSE_NNZ_BUDGET:
+        raise TooLarge("Dickson matrix power exceeds the fill budget")
+    if n <= _DENSE_DICKSON_LIMIT:
+        A = adjacency_matrix(g)
+        prev = 2 * np.eye(n, dtype=np.int64)
+    else:
+        A = adjacency_sparse(g, dtype=np.int64)
+        prev = 2 * sp.identity(n, dtype=np.int64, format="csr")
+    cur = A
+    for _ in range(a - 1):
+        prev, cur = cur, A @ cur - q * prev
+    # now cur = D_a(A) and prev = D_{a-1}(A) (D_0 when a = 1)
+    if a == b:
+        Da, Db, tr_rest = cur, cur, 2 * n
+    else:
+        Da, Db, tr_rest = cur, prev, int(A.diagonal().sum())
+    hadamard = Da.multiply(Db) if sp.issparse(Da) else Da * Db
+    counts = graph_counts(g)
+    sign = -1 if k % 2 else 1
+    return (
+        int(hadamard.sum())
+        - q ** b * tr_rest
+        + counts.half_loops * sign
+        + (counts.pairs - counts.vertices) * (1 + sign)
+    )
+
+
+def _tr_irregular(g, k):
+    """Sparse split Tr(H^k) = sum(H^a * (H^b)^T), a = ceil(k/2), b = k - a."""
+    m = g.directed_edge_count
+    # entries of H^k are at most s^k, s the largest line-graph out-degree
+    s = max(int(degrees(g)[g.heads].max()) - 1, 1)
+    if m * s ** k >= _INT64_GUARD:
         raise TooLarge("entries of H^k overflow the exact int64 path")
-    if m <= _DENSE_TRACE_LIMIT:
-        H = hashimoto_matrix(g)
-        P = H.copy()
-        for _ in range(k - 1):
-            P = P @ H
-        return int(np.trace(P))
-    # sparse split: Tr(H^k) = sum of elementwise H^a * (H^b)^T, a+b = k
-    if m * (s ** ((k + 1) // 2)) > _SPARSE_NNZ_BUDGET:
+    a = (k + 1) // 2
+    if min(m * m, m * s ** a) > _SPARSE_NNZ_BUDGET:
         raise TooLarge("sparse trace power exceeds the fill budget")
     H = hashimoto_sparse(g)
-    a = k // 2
-    Pa = _sparse_power(H, a) if a else None
-    if k % 2 == 0:
-        return int(Pa.multiply(Pa.T).sum())
-    Pb = Pa @ H if Pa is not None else H
-    if Pa is None:
+    if k == 1:
         return int(H.diagonal().sum())
+    Pb = H
+    for _ in range(k // 2 - 1):
+        Pb = Pb @ H
+    Pa = Pb @ H if k % 2 else Pb
     return int(Pa.multiply(Pb.T).sum())
-
-
-def _sparse_power(H, a):
-    P = H.copy()
-    for _ in range(a - 1):
-        P = P @ H
-    return P
 
 
 def count_closed_nb_walks(g, k):

@@ -46,7 +46,9 @@ from nbzeta.spectra import default_tolerances
 from conftest import DATA_DIR, named_corpus, random_regular_corpus
 
 # dense-path censuses keep workers=1 (LAPACK already uses the cores);
-# the sparse smoke run benefits from threading the ARPACK samples
+# the sparse smoke run uses 2 workers to exercise the thread pool, which
+# buys little: ARPACK holds the GIL between matvecs (measured
+# census.worker_speedup 0.84-1.33 on perm n=10^4 at 2 vCPUs)
 SMOKE_WORKERS = 2
 
 

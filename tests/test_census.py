@@ -14,6 +14,7 @@ from nbzeta import (
     serialize_graph,
     spectrum_report,
 )
+from nbzeta import census as census_module
 from nbzeta.census import aggregate_json, records_csv, reproduce_section8, section8_table
 from nbzeta.spectra import default_tolerances
 
@@ -34,6 +35,43 @@ def test_config_validation():
     with pytest.raises(InvalidParams):
         _cfg(samples=0).validate()
     _cfg().validate()
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"invalid JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_config_rejects_nonpositive_n(monkeypatch):
+    def never(*args):
+        raise AssertionError("sampled before validation")
+
+    monkeypatch.setattr(census_module, "_one_sample", never)
+    base = serialize_graph(build_bouquet(2, 0))
+    for model in ("perm", "match", "cover"):
+        cfg = _cfg(model=model, n=0, base_graph_text=base)
+        with pytest.raises(InvalidParams):
+            run_census(cfg)
+
+
+def test_config_rejects_negative_threshold_tol():
+    with pytest.raises(InvalidParams):
+        _cfg(threshold_tol=-1.0).validate()
+    _cfg(threshold_tol=0.0).validate()
+
+
+def test_aggregate_json_null_without_samples(monkeypatch, tmp_path):
+    def fail(args):
+        raise RuntimeError("forced failure")
+
+    monkeypatch.setattr(census_module, "_one_sample", fail)
+    out = tmp_path / "c.csv"
+    res = run_census(_cfg(samples=3), out_path=out)
+    assert res.samples == 0 and res.failures == 3
+    for text in (aggregate_json(res), (tmp_path / "c.csv.json").read_text()):
+        agg = _strict_json(text)
+        assert agg["mean"] is None and agg["failures"] == 3
 
 
 def test_census_records_and_aggregates():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from nbzeta import build_bouquet, complete_graph, serialize_graph
+from nbzeta import census as census_module
 from nbzeta.cli import main
 
 
@@ -25,6 +26,28 @@ def test_cli_census(tmp_path, capsys):
     assert lines[0] == "sample,seed,count,lambda1,lambda2"
     assert len(lines) == 6
     assert json.loads((tmp_path / "census.csv.json").read_text())["failures"] == 0
+
+
+def test_cli_census_all_failed(capsys, monkeypatch):
+    def fail(args):
+        raise RuntimeError("forced failure")
+
+    def reject(token):
+        raise ValueError(f"invalid JSON constant {token}")
+
+    monkeypatch.setattr(census_module, "_one_sample", fail)
+    rc = main(["census", "--model", "perm", "--n", "12", "--samples", "3"])
+    assert rc != 0
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out, parse_constant=reject)
+    assert summary["mean"] is None and summary["failures"] == 3
+    assert "failed" in captured.err
+
+
+def test_cli_census_rejects_n0(capsys):
+    rc = main(["census", "--model", "perm", "--n", "0", "--samples", "3"])
+    assert rc == 2
+    assert "n must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_census_cover(tmp_path, capsys):

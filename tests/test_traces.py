@@ -7,6 +7,7 @@ from nbzeta import (
     IllConditioned,
     TooLarge,
     build_bouquet,
+    build_graph,
     complete_graph,
     count_closed_nb_walks,
     estimate_expected_trace,
@@ -14,12 +15,69 @@ from nbzeta import (
     fit_expansion_coefficients,
     hashimoto_spectrum,
     p0_divisor_sum,
+    petersen_graph,
+    sample_cover,
+    sample_matching_model,
     sample_permutation_model,
     tr_hashimoto_power,
 )
+from nbzeta import traces
+from nbzeta.graphs import graph_counts, hashimoto_sparse, regularity
 from nbzeta.traces import _permutations_to_graph
 
 from conftest import random_regular_corpus
+
+
+def _cycle(n):
+    edges, inv = [], []
+    for i in range(n):
+        edges += [(i, (i + 1) % n), ((i + 1) % n, i)]
+        inv += [2 * i + 1, 2 * i]
+    return build_graph(n, edges, inv)
+
+
+def _whole_loops(g):
+    own = np.arange(g.directed_edge_count)
+    return int(np.sum((g.tails == g.heads) & (g.involution != own)))
+
+
+def _irregular():
+    # K4 minus one edge plus a pendant vertex: degrees 3, 3, 2, 3, 1
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 4)]
+    edges, inv = [], []
+    for i, (a, b) in enumerate(pairs):
+        edges += [(a, b), (b, a)]
+        inv += [2 * i + 1, 2 * i]
+    return build_graph(5, edges, inv)
+
+
+def _split_reference(g, k):
+    """Tr(H^k) = sum(H^a * (H^b)^T) on hashimoto_sparse, a + b = k."""
+    H = hashimoto_sparse(g)
+    b = k // 2
+    if b == 0:
+        return int(H.diagonal().sum())
+    Pb = H
+    for _ in range(b - 1):
+        Pb = Pb @ H
+    Pa = Pb @ H if k % 2 else Pb
+    return int(Pa.multiply(Pb.T).sum())
+
+
+def _small_graphs():
+    perm = sample_permutation_model(5, 4, seed=1)
+    cover = sample_cover(build_bouquet(1, 1), 11, 1).total
+    assert _whole_loops(perm) > 0
+    assert graph_counts(cover).half_loops == 1
+    return [
+        ("perm n=5", perm),
+        ("match d=3", sample_matching_model(10, 3, seed=4)),
+        ("cover of bouquet(1,1), n=11", cover),
+        ("bouquet(0,1)", build_bouquet(0, 1)),
+        ("cycle C7", _cycle(7)),
+        ("Petersen", petersen_graph()),
+        ("irregular", _irregular()),
+    ]
 
 
 def test_k4_traces():
@@ -33,17 +91,6 @@ def test_bouquet_traces():
     assert tr_hashimoto_power(build_bouquet(0, 3), 2) == 6  # (J-I)^2 trace
 
 
-def test_traces_match_walk_enumeration():
-    corpus = [complete_graph(4), build_bouquet(2, 0), build_bouquet(0, 3),
-              build_bouquet(1, 1)]
-    corpus += random_regular_corpus(6, seed=99, max_vertices=10)
-    for g in corpus:
-        if g.directed_edge_count > 64:
-            continue
-        for k in range(1, 7):
-            assert tr_hashimoto_power(g, k) == count_closed_nb_walks(g, k)
-
-
 def test_traces_match_spectrum_power_sums_sparse_path():
     # push a medium graph through the sparse trace path and compare with
     # the ihara spectrum power sums
@@ -54,6 +101,62 @@ def test_traces_match_spectrum_power_sums_sparse_path():
         exact = tr_hashimoto_power(g, k)
         approx = float(np.sum(mu ** k).real)
         assert abs(approx - exact) <= 1e-6 * max(1.0, abs(exact))
+
+
+def test_traces_match_walk_enumeration():
+    corpus = [complete_graph(4), build_bouquet(2, 0), build_bouquet(0, 3),
+              build_bouquet(1, 1)]
+    corpus += random_regular_corpus(6, seed=99, max_vertices=10)
+    corpus += [g for _, g in _small_graphs()]
+    for g in corpus:
+        if g.directed_edge_count > 64:
+            continue
+        for k in range(1, 9):
+            assert tr_hashimoto_power(g, k) == count_closed_nb_walks(g, k)
+
+
+def test_route_matches_hashimoto_split():
+    # the medium graphs exceed the dense limit, the small ones do not
+    perm = sample_permutation_model(300, 4, seed=2)
+    cover = sample_cover(build_bouquet(1, 1), 101, 1).total
+    assert _whole_loops(perm) > 0
+    assert graph_counts(cover).half_loops == 1
+    medium = [
+        ("perm n=300", perm),
+        ("match d=3, n=300", sample_matching_model(300, 3, seed=3)),
+        ("cover of bouquet(1,1), n=101", cover),
+        ("cycle C80", _cycle(80)),
+    ]
+    for name, g in medium + _small_graphs():
+        for k in range(1, 10):
+            assert tr_hashimoto_power(g, k) == _split_reference(g, k), (name, k)
+    # K4 up to k = 58, the largest k the int64 split admits for it
+    g = complete_graph(4)
+    for k in (30, 45, 58):
+        assert tr_hashimoto_power(g, k) == _split_reference(g, k), k
+
+
+def test_cycle_traces():
+    # a closed non-backtracking walk on C_n winds around: 2n of length k
+    # when n divides k, none otherwise
+    g = _cycle(6)
+    assert [tr_hashimoto_power(g, k) for k in range(1, 13)] == [
+        12 if k % 6 == 0 else 0 for k in range(1, 13)
+    ]
+
+
+def test_only_irregular_graphs_build_hashimoto(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return hashimoto_sparse(g)
+
+    monkeypatch.setattr(traces, "hashimoto_sparse", counting)
+    for name, g in _small_graphs():
+        tr_hashimoto_power(g, 4)
+        assert len(calls) == (0 if regularity(g) else 1), name
+        calls.clear()
 
 
 def test_trace_size_guard():
