@@ -12,12 +12,13 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import InvalidParams, TooLarge
+from .errors import InvalidParams, ParseError, TooLarge
 from .graphs import adjacency_matrix, parse_graph, regularity
 from .models import (
     sample_cover,
@@ -73,9 +74,31 @@ class CensusConfig:
             raise InvalidParams("cycle model needs even d >= 4 and n >= 2")
         if self.model == "match" and (self.n % 2 or self.d < 3):
             raise InvalidParams("match model needs even n and d >= 3")
-        if self.model == "cover" and not self.base_graph_text:
-            raise InvalidParams("cover model needs a base graph file")
+        if self.workers < 1:
+            raise InvalidParams("workers must be >= 1")
+        vertices = self.n
+        if self.model == "cover":
+            vertices *= self._cover_base().vertex_count
+        if self.mode == "strict_nonramanujan" and vertices > DENSE_EIG_LIMIT:
+            raise InvalidParams(
+                f"strict mode needs the dense spectrum: {vertices} vertices "
+                f"exceed {DENSE_EIG_LIMIT}"
+            )
         return self
+
+    def _cover_base(self):
+        """The parsed base graph; it must be regular with at least one edge."""
+        if not self.base_graph_text:
+            raise InvalidParams("cover model needs a base graph file")
+        try:
+            base = parse_graph(self.base_graph_text)
+        except ParseError as exc:
+            raise InvalidParams(f"cover base graph: {exc}") from exc
+        if base.directed_edge_count == 0:
+            raise InvalidParams("cover base graph has no edges")
+        if regularity(base) is None:
+            raise InvalidParams("cover base graph is not regular")
+        return base
 
 
 @dataclass(frozen=True)
@@ -95,6 +118,7 @@ class CensusResult:
     stderr: float
     samples: int
     failures: int
+    failure_reasons: dict  # repr(exception) -> number of samples
 
 
 def _one_sample(args):
@@ -166,12 +190,12 @@ def run_census(config, out_path=None, progress=None):
         )
         for i in range(config.samples)
     ]
-    records, failures = [], 0
+    records, reasons = [], Counter()
     sink = open(out_path, "w", newline="") if out_path else None
     writer = None
     if sink is not None:
         writer = csv.writer(sink)
-        writer.writerow(["sample", "seed", "count", "lambda1", "lambda2"])
+        writer.writerow(_CSV_HEADER)
     try:
         if config.workers > 1:
             # samples share no mutable state and map() preserves sample
@@ -183,12 +207,10 @@ def run_census(config, out_path=None, progress=None):
             with ThreadPoolExecutor(max_workers=config.workers) as pool:
                 results = pool.map(_one_sample_safe, tasks)
                 for rec in results:
-                    failures += _consume(rec, records, writer, progress)
+                    _consume(rec, records, reasons, writer, progress)
         else:
             for task in tasks:
-                failures += _consume(
-                    _one_sample_safe(task), records, writer, progress
-                )
+                _consume(_one_sample_safe(task), records, reasons, writer, progress)
     finally:
         if sink is not None:
             sink.close()
@@ -205,7 +227,8 @@ def run_census(config, out_path=None, progress=None):
         mean=mean,
         stderr=stderr,
         samples=len(records),
-        failures=failures,
+        failures=sum(reasons.values()),
+        failure_reasons=dict(reasons),
     )
     if out_path:
         with open(str(out_path) + ".json", "w") as fh:
@@ -220,37 +243,31 @@ def _one_sample_safe(task):
         return (task[-1], repr(exc))
 
 
-def _consume(rec, records, writer, progress):
-    if isinstance(rec, SampleRecord):
-        records.append(rec)
-        if writer is not None:
-            writer.writerow(
-                [
-                    rec.sample,
-                    rec.seed,
-                    rec.count,
-                    _fmt(rec.lambda1),
-                    _fmt(rec.lambda2),
-                ]
-            )
-        if progress is not None:
-            progress(rec)
-        return 0
-    return 1
+def _consume(rec, records, reasons, writer, progress):
+    if not isinstance(rec, SampleRecord):
+        reasons[rec[1]] += 1
+        return
+    records.append(rec)
+    if writer is not None:
+        writer.writerow(_csv_row(rec))
+    if progress is not None:
+        progress(rec)
 
 
-def _fmt(x):
-    return f"{x:.12g}"
+_CSV_HEADER = ["sample", "seed", "count", "lambda1", "lambda2"]
+
+
+def _csv_row(rec):
+    return [
+        rec.sample, rec.seed, rec.count, f"{rec.lambda1:.12g}", f"{rec.lambda2:.12g}"
+    ]
 
 
 def records_csv(result):
     buf = io.StringIO()
     w = csv.writer(buf)
-    w.writerow(["sample", "seed", "count", "lambda1", "lambda2"])
-    for rec in result.records:
-        w.writerow(
-            [rec.sample, rec.seed, rec.count, _fmt(rec.lambda1), _fmt(rec.lambda2)]
-        )
+    w.writerow(_CSV_HEADER)
+    w.writerows(_csv_row(rec) for rec in result.records)
     return buf.getvalue()
 
 
@@ -266,8 +283,8 @@ def aggregate_json(result):
 
 
 def summary_fields(result):
-    """mean, stderr, samples and failures, JSON-safe: a mean or stderr
-    without a successful sample is None (null), never NaN."""
+    """mean, stderr, samples, failures and the failure reasons, JSON-safe:
+    a mean or stderr without a successful sample is None (null), never NaN."""
     def finite(x):
         return x if math.isfinite(x) else None
 
@@ -276,6 +293,7 @@ def summary_fields(result):
         "stderr": finite(result.stderr),
         "samples": result.samples,
         "failures": result.failures,
+        "failure_reasons": result.failure_reasons,
     }
 
 

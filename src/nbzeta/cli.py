@@ -66,7 +66,12 @@ def _cmd_census(args):
     result = run_census(config, out_path=args.out)
     print(json.dumps(summary_fields(result), allow_nan=False))
     if result.samples == 0:
-        print(f"error: all {result.failures} samples failed", file=sys.stderr)
+        reason, times = max(result.failure_reasons.items(), key=lambda kv: kv[1])
+        print(
+            f"error: all {result.failures} samples failed; most often "
+            f"({times}x): {reason}",
+            file=sys.stderr,
+        )
         return 1
     return 0
 
@@ -133,7 +138,7 @@ def _cmd_spectrum(args):
     g = _read_graph(args.graph)
     out = {"adjacency": [float(x) for x in adjacency_spectrum(g)]}
     if args.hashimoto:
-        mu = hashimoto_spectrum(g, method="direct")
+        mu = hashimoto_spectrum(g)
         out["hashimoto"] = [[float(z.real), float(z.imag)] for z in mu]
     if args.classify:
         report = spectrum_report(g)

@@ -29,10 +29,6 @@ class Graph:
     def directed_edge_count(self):
         return len(self.tails)
 
-    @property
-    def directed_edges(self):
-        return list(zip(self.tails.tolist(), self.heads.tolist()))
-
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented

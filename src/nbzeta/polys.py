@@ -5,8 +5,6 @@ trailing zero coefficient; [] is the zero polynomial.  Everything here is
 exact: no floats enter unless the caller evaluates at a float point.
 """
 
-from fractions import Fraction
-
 
 def normalize(p):
     n = len(p)
@@ -62,13 +60,6 @@ def pow_(a, k):
     return out
 
 
-def shift(a, k):
-    """Multiply by x**k."""
-    if not a:
-        return []
-    return [0] * k + list(a)
-
-
 def reciprocal(a, degree=None):
     """Coefficient reversal: x**n * a(1/x) with n = degree (default deg a)."""
     a = normalize(a)
@@ -81,31 +72,6 @@ def reciprocal(a, degree=None):
     for i, c in enumerate(a):
         out[degree - i] = c
     return normalize(out)
-
-
-def divexact(a, b):
-    """Exact polynomial division; raises if the remainder is nonzero."""
-    a = normalize(a)
-    b = normalize(b)
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    q = [0] * (max(len(a) - len(b) + 1, 0))
-    r = list(a)
-    lead = b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = r[i + len(b) - 1]
-        if c == 0:
-            continue
-        if c % lead != 0 and not isinstance(c, Fraction):
-            c = Fraction(c, lead)
-        else:
-            c = c // lead if not isinstance(c, Fraction) else c / lead
-        q[i] = c
-        for j, cb in enumerate(b):
-            r[i + j] -= c * cb
-    if normalize(r):
-        raise ValueError("inexact polynomial division")
-    return normalize(q)
 
 
 def evaluate(a, x):
@@ -123,7 +89,3 @@ def derivative(a):
 def to_decimal_strings(a):
     """JSON-safe exact form: array of decimal integer strings."""
     return [str(int(c)) for c in a]
-
-
-def from_decimal_strings(strs):
-    return normalize([int(s) for s in strs])

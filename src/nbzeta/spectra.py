@@ -1,7 +1,10 @@
 """Adjacency and Hashimoto spectra, threshold counting, and classification.
 
-Dense solvers handle graphs up to DENSE_EIG_LIMIT vertices (or directed
-edges, for the Hashimoto matrix).  Beyond that only counting queries are
+Dense solvers handle graphs up to DENSE_EIG_LIMIT vertices.  The Hashimoto
+spectrum of a regular graph is the Ihara map of its adjacency spectrum, so
+there the limit bounds the vertex count n; only irregular graphs take a
+dense eigensolve of the m x m Hashimoto matrix, and there it bounds the
+directed edge count m.  Beyond the limit only counting queries are
 supported: the dense path counts through the inertia of a shifted LDL^T
 factorization; the sparse path walks down the top of the spectrum with an
 iterative extremal eigensolver, since symmetric factorization of expander
@@ -179,59 +182,41 @@ def count_adjacency_eigenvalues_geq(g, t, tol, limit=DENSE_EIG_LIMIT):
     raise FactorizationBreakdown("persistent zero pivots at jittered shifts")
 
 
-def hashimoto_spectrum(g, method="direct", limit=DENSE_EIG_LIMIT):
+def hashimoto_spectrum(g, limit=DENSE_EIG_LIMIT):
     """Complex multiset (array) of Hashimoto eigenvalues.
 
-    direct: dense eigensolve of the Hashimoto matrix.
-    ihara:  for regular graphs, quadratic roots mu^2 - lambda*mu + (d-1)
-            per adjacency eigenvalue, plus -1 per half-loop, plus +-1 with
-            multiplicity |pair| - |V| (negative multiplicity cancels
-            against matching quadratic roots).
+    Regular graphs: the Ihara map of the adjacency spectrum (n <= limit).
+    Irregular graphs: dense eigensolve of the Hashimoto matrix (m <= limit).
     """
-    counts = graph_counts(g)
-    m = g.directed_edge_count
-    if method == "direct":
-        if m > limit:
-            raise TooLarge(f"dense Hashimoto eigensolve limited to {limit} edges")
-        if m == 0:
-            return np.array([], dtype=complex)
-        return np.linalg.eigvals(hashimoto_matrix(g).astype(float))
-    if method != "ihara":
-        raise MethodUnsupported(f"unknown method {method!r}")
     d = regularity(g)
-    if d is None:
-        raise MethodUnsupported("ihara method needs a regular graph")
-    lam = adjacency_spectrum(g, limit=limit)
-    roots = []
-    for lv in lam:
-        disc = complex(lv * lv - 4 * (d - 1))
-        s = np.sqrt(disc)
-        roots.append((lv + s) / 2)
-        roots.append((lv - s) / 2)
-    vals = list(np.asarray(roots, dtype=complex))
-    vals.extend([-1.0 + 0j] * counts.half_loops)
+    if d is not None:
+        return _ihara_roots(g, d, adjacency_spectrum(g, limit=limit))
+    m = g.directed_edge_count
+    if m > limit:
+        raise TooLarge(f"dense Hashimoto eigensolve limited to {limit} edges")
+    if m == 0:
+        return np.array([], dtype=complex)
+    return np.linalg.eigvals(hashimoto_matrix(g).astype(float))
+
+
+def _ihara_roots(g, d, lam):
+    """Hashimoto spectrum of a d-regular graph from its adjacency spectrum
+    lam: the roots of mu^2 - lambda*mu + (d-1) per adjacency eigenvalue,
+    -1 per half-loop, and +-1 with multiplicity |pair| - |V| (a negative
+    multiplicity cancels against matching quadratic roots)."""
+    counts = graph_counts(g)
+    s = np.sqrt((lam * lam - 4 * (d - 1)).astype(complex))
+    roots = np.column_stack([(lam + s) / 2, (lam - s) / 2]).ravel()
     extra = counts.pairs - counts.vertices
-    if extra >= 0:
-        vals.extend([1.0 + 0j] * extra)
-        vals.extend([-1.0 + 0j] * extra)
-    else:
-        for target in (1.0, -1.0):
-            for _ in range(-extra):
-                _remove_nearest(vals, target, tol=1e-6)
+    vals = np.concatenate([
+        roots,
+        [-1.0] * counts.half_loops,
+        [1.0] * max(extra, 0),
+        [-1.0] * max(extra, 0),
+    ]).astype(complex)
+    if extra < 0:
+        vals = _multiset_difference(vals, [1.0] * -extra + [-1.0] * -extra)
     return np.asarray(vals, dtype=complex)
-
-
-def _remove_nearest(vals, target, tol):
-    best, best_dist = None, None
-    for i, v in enumerate(vals):
-        dist = abs(v - target)
-        if best is None or dist < best_dist:
-            best, best_dist = i, dist
-    if best is None or best_dist > tol:
-        raise UnmatchedOldEigenvalue(
-            f"no eigenvalue within {tol} of {target} to cancel"
-        )
-    vals.pop(best)
 
 
 def spectrum_report(g, limit=DENSE_EIG_LIMIT):
@@ -239,12 +224,9 @@ def spectrum_report(g, limit=DENSE_EIG_LIMIT):
     if d is None:
         raise MethodUnsupported("spectrum reports need a regular graph")
     adj = adjacency_spectrum(g, limit=limit)
-    m = g.directed_edge_count
-    if m <= limit:
-        hsh = hashimoto_spectrum(g, method="direct", limit=limit)
-    else:
-        hsh = hashimoto_spectrum(g, method="ihara", limit=limit)
-    return SpectrumReport(adjacency_eigenvalues=adj, hashimoto_eigenvalues=hsh, d=d)
+    return SpectrumReport(
+        adjacency_eigenvalues=adj, hashimoto_eigenvalues=_ihara_roots(g, d, adj), d=d
+    )
 
 
 def classify_non_ramanujan(report, real_tol=None, special_tol=None):
@@ -341,8 +323,8 @@ def new_spectra(c, limit=DENSE_EIG_LIMIT):
     new_adj = np.asarray(
         sorted(_multiset_difference(adj_t, adj_b), reverse=True)
     )
-    hsh_t = hashimoto_spectrum(c.total, method="direct", limit=limit)
-    hsh_b = hashimoto_spectrum(c.base, method="direct", limit=limit)
+    hsh_t = hashimoto_spectrum(c.total, limit=limit)
+    hsh_b = hashimoto_spectrum(c.base, limit=limit)
     new_hsh = np.asarray(
         _multiset_difference(list(hsh_t), list(hsh_b)), dtype=complex
     )

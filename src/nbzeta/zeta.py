@@ -112,18 +112,6 @@ def _quadratic_pencil_det(adj_poly, n, c):
     return out
 
 
-def _u_form_pencil_det(adj_poly, n, c):
-    """det(I - u A + c u^2 I) via x = (1 + c u^2)/u in the charpoly of A."""
-    out = []
-    base = [1, 0, c]  # 1 + c u^2
-    for k, a in enumerate(adj_poly):
-        if a == 0:
-            continue
-        term = polys.scale(polys.mul(polys.pow_(base, k), [0] * (n - k) + [1]), a)
-        out = polys.add(out, term)
-    return out
-
-
 def verify_ihara(g, limit=EXACT_CHARPOLY_LIMIT):
     """Check the determinant identity linking H and A coefficient-exactly.
 
@@ -144,7 +132,8 @@ def verify_ihara(g, limit=EXACT_CHARPOLY_LIMIT):
     n = g.vertex_count
     if counts.half_loops == 0:
         _, u_poly = hashimoto_char_poly(g, limit=limit)
-        rhs = _u_form_pencil_det(adj_poly, n, d - 1)
+        # det(I - uA + (d-1)u^2 I) is the reversal of the degree-2n mu-form
+        rhs = polys.reciprocal(_quadratic_pencil_det(adj_poly, n, d - 1), 2 * n)
         chi = counts.euler_characteristic
         one_minus_u2 = [1, 0, -1]
         if chi <= 0:
@@ -196,9 +185,7 @@ def _scaled_poles(g, limit=DENSE_EIG_LIMIT):
     if d == 1:
         # H = 0 for 1-regular graphs; every scaled eigenvalue is 0
         return np.zeros(g.directed_edge_count, dtype=complex), d
-    method = "direct" if g.directed_edge_count <= limit else "ihara"
-    mu = hashimoto_spectrum(g, method=method, limit=limit)
-    return np.asarray(mu, dtype=complex) / (d - 1), d
+    return hashimoto_spectrum(g, limit=limit) / (d - 1), d
 
 
 def evaluate_L(g, u, min_pole_distance=1e-12):

@@ -1,12 +1,14 @@
 import itertools
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nbzeta import (
     build_bouquet,
     build_graph,
     complete_graph,
+    hashimoto_matrix,
     petersen_graph,
     sample_matching_model,
     sample_permutation_model,
@@ -37,6 +39,12 @@ def k5_minus_edge_ring(blocks=4):
     for blk in range(blocks):
         add(5 * blk + 1, 5 * ((blk + 1) % blocks) + 0)
     return build_graph(5 * blocks, edges, inv)
+
+
+def dense_hashimoto_eigenvalues(g):
+    """Reference Hashimoto spectrum: a dense eigensolve of H itself, so a
+    check against it does not compare the package's route with itself."""
+    return np.linalg.eigvals(hashimoto_matrix(g).astype(float))
 
 
 @pytest.fixture(scope="session")

@@ -30,7 +30,6 @@ from nbzeta import (
     exact_expected_trace_small,
     graph_counts,
     hashimoto_char_poly,
-    hashimoto_spectrum,
     integrate_circle,
     minus_zeta_log_derivative,
     parse_graph,
@@ -43,7 +42,12 @@ from nbzeta import polys
 from nbzeta.graphs import regularity
 from nbzeta.spectra import default_tolerances
 
-from conftest import DATA_DIR, named_corpus, random_regular_corpus
+from conftest import (
+    DATA_DIR,
+    dense_hashimoto_eigenvalues,
+    named_corpus,
+    random_regular_corpus,
+)
 
 # dense-path censuses keep workers=1 (LAPACK already uses the cores);
 # the sparse smoke run uses 2 workers to exercise the thread pool, which
@@ -120,7 +124,7 @@ def test_criterion_3_log_derivative_identity():
             continue
         d = regularity(gg)
         lhs = evaluate_L(gg, u) + evaluate_e(gg.vertex_count, d, u)
-        mu = hashimoto_spectrum(gg, method="direct")
+        mu = dense_hashimoto_eigenvalues(gg)
         mu = mu[np.abs(mu) > 1e-12]
         rhs = complex(np.sum(1.0 / (u - 1.0 / mu)))
         rel = abs(lhs - rhs) / max(1.0, abs(rhs))

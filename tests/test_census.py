@@ -9,6 +9,7 @@ from nbzeta import (
     InvalidParams,
     build_bouquet,
     classify_non_ramanujan,
+    complete_graph,
     run_census,
     sample_permutation_model,
     serialize_graph,
@@ -53,6 +54,35 @@ def test_config_rejects_nonpositive_n(monkeypatch):
         cfg = _cfg(model=model, n=0, base_graph_text=base)
         with pytest.raises(InvalidParams):
             run_census(cfg)
+
+
+PATH3_TEXT = "nbgraph v1\n3 4\n0 1 1\n1 0 0\n1 2 3\n2 1 2\n"  # irregular
+
+
+def test_config_rejects_bad_cover_base():
+    for text in ("not a graph\n", "nbgraph v1\n3 0\n", PATH3_TEXT):
+        with pytest.raises(InvalidParams):
+            _cfg(model="cover", base_graph_text=text).validate()
+    _cfg(model="cover", base_graph_text=serialize_graph(build_bouquet(2, 0))).validate()
+
+
+def test_config_rejects_nonpositive_workers():
+    with pytest.raises(InvalidParams):
+        _cfg(workers=0).validate()
+
+
+def test_config_rejects_strict_mode_above_dense_limit():
+    limit = census_module.DENSE_EIG_LIMIT
+    with pytest.raises(InvalidParams):
+        _cfg(mode="strict_nonramanujan", n=limit + 2).validate()
+    _cfg(mode="strict_nonramanujan", n=limit).validate()
+    # covers count the total graph: n sheets times the base vertices
+    k4 = serialize_graph(complete_graph(4))
+    with pytest.raises(InvalidParams):
+        _cfg(model="cover", mode="strict_nonramanujan", n=limit // 4 + 1,
+             base_graph_text=k4).validate()
+    _cfg(model="cover", mode="strict_nonramanujan", n=limit // 4,
+         base_graph_text=k4).validate()
 
 
 def test_config_rejects_negative_threshold_tol():
@@ -112,7 +142,10 @@ def test_census_csv_format(tmp_path):
     assert lines[0] == "sample,seed,count,lambda1,lambda2"
     assert len(lines) == 4
     agg = json.loads((tmp_path / "out.csv.json").read_text())
-    assert set(agg) == {"config", "mean", "stderr", "samples", "failures"}
+    assert set(agg) == {
+        "config", "mean", "stderr", "samples", "failures", "failure_reasons"
+    }
+    assert agg["failure_reasons"] == {}
     assert agg["samples"] == 3
 
 
@@ -216,3 +249,6 @@ def test_census_failures_are_counted_not_silent(monkeypatch):
     assert res.failures == 1
     assert res.samples == 5
     assert [r.sample for r in res.records] == [0, 1, 3, 4, 5]
+    reasons = {"RuntimeError('synthetic per-sample failure')": 1}
+    assert res.failure_reasons == reasons
+    assert json.loads(aggregate_json(res))["failure_reasons"] == reasons

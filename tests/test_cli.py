@@ -41,7 +41,8 @@ def test_cli_census_all_failed(capsys, monkeypatch):
     captured = capsys.readouterr()
     summary = json.loads(captured.out, parse_constant=reject)
     assert summary["mean"] is None and summary["failures"] == 3
-    assert "failed" in captured.err
+    assert summary["failure_reasons"] == {"RuntimeError('forced failure')": 3}
+    assert "failed" in captured.err and "forced failure" in captured.err
 
 
 def test_cli_census_rejects_n0(capsys):
@@ -58,6 +59,18 @@ def test_cli_census_cover(tmp_path, capsys):
     ])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["samples"] == 4
+
+
+def test_cli_census_rejects_irregular_base(tmp_path, capsys):
+    base = tmp_path / "path3.nbg"
+    base.write_text("nbgraph v1\n3 4\n0 1 1\n1 0 0\n1 2 3\n2 1 2\n")
+    rc = main([
+        "census", "--model", "cover", "--base", str(base), "--n", "8",
+        "--samples", "4",
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not regular" in captured.err
 
 
 def test_cli_zeta(tmp_path, capsys):

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from nbzeta import (
+    ContourSpec,
     TooLarge,
     adjacency_spectrum,
     build_bouquet,
+    build_graph,
     classify_non_ramanujan,
     complete_graph,
+    contour_pole_count,
     count_adjacency_eigenvalues_geq,
     hashimoto_spectrum,
     is_epsilon_spectral,
@@ -17,9 +20,14 @@ from nbzeta import (
     spectrum_report,
     tr_hashimoto_power,
 )
+from nbzeta import spectra
 from nbzeta.graphs import regularity
 
-from conftest import k5_minus_edge_ring, random_regular_corpus
+from conftest import (
+    dense_hashimoto_eigenvalues,
+    k5_minus_edge_ring,
+    random_regular_corpus,
+)
 
 
 def _match_multisets(a, b, tol):
@@ -110,7 +118,7 @@ def test_count_geq_sparse_threshold_below_spectrum():
 
 
 def test_hashimoto_spectrum_k4():
-    mu = hashimoto_spectrum(complete_graph(4), method="direct")
+    mu = hashimoto_spectrum(complete_graph(4))
     s7 = np.sqrt(7)
     expected = (
         [2, 1, 1, 1, -1, -1]
@@ -121,17 +129,17 @@ def test_hashimoto_spectrum_k4():
 
 
 def test_hashimoto_spectrum_bouquets():
-    mu = hashimoto_spectrum(build_bouquet(2, 0), method="direct")
+    mu = hashimoto_spectrum(build_bouquet(2, 0))
     assert _match_multisets([3, 1, 1, -1], mu, tol=1e-8)
-    mu = hashimoto_spectrum(build_bouquet(0, 3), method="ihara")
+    mu = hashimoto_spectrum(build_bouquet(0, 3))
     assert _match_multisets([2, -1, -1], mu, tol=1e-8)
 
 
 def test_hashimoto_direct_vs_ihara_corpus():
     # spec invariant: multiset agreement on 100 random graphs, |V| <= 40
     for g in random_regular_corpus(100, seed=21, max_vertices=40):
-        direct = hashimoto_spectrum(g, method="direct")
-        ihara = hashimoto_spectrum(g, method="ihara")
+        direct = dense_hashimoto_eigenvalues(g)
+        ihara = hashimoto_spectrum(g)
         assert len(direct) == len(ihara) == g.directed_edge_count
         assert _match_multisets(direct, ihara, tol=1e-8)
 
@@ -143,8 +151,8 @@ def test_hashimoto_direct_vs_ihara_half_loops():
         graphs.append(sample_cover(build_bouquet(0, 3), 5, seed=seed).total)
         graphs.append(sample_cover(build_bouquet(1, 2), 7, seed=seed).total)
     for g in graphs:
-        direct = hashimoto_spectrum(g, method="direct")
-        ihara = hashimoto_spectrum(g, method="ihara")
+        direct = dense_hashimoto_eigenvalues(g)
+        ihara = hashimoto_spectrum(g)
         assert len(direct) == len(ihara) == g.directed_edge_count
         assert _match_multisets(direct, ihara, tol=1e-8)
 
@@ -155,7 +163,7 @@ def test_spectrum_power_sums_match_traces():
     graphs = [g for _, g in named_corpus()]
     graphs += random_regular_corpus(10, seed=31, max_vertices=16)
     for g in graphs:
-        mu = hashimoto_spectrum(g, method="direct")
+        mu = hashimoto_spectrum(g)
         for k in range(1, 7):
             exact = tr_hashimoto_power(g, k)
             approx = np.sum(mu ** k)
@@ -228,8 +236,38 @@ def test_new_spectra_sizes_and_top_removal():
         ) - 1
 
 
+def _k4_minus_edge():
+    # irregular: degrees 3, 3, 2, 2
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+    edges, inv = [], []
+    for i, (a, b) in enumerate(pairs):
+        edges += [(a, b), (b, a)]
+        inv += [2 * i + 1, 2 * i]
+    return build_graph(4, edges, inv)
+
+
+def test_only_irregular_graphs_build_hashimoto(monkeypatch, witness_graph):
+    built = []
+    real = spectra.hashimoto_matrix
+
+    def counting(g):
+        built.append(g)
+        return real(g)
+
+    monkeypatch.setattr(spectra, "hashimoto_matrix", counting)
+    hashimoto_spectrum(witness_graph)
+    spectrum_report(witness_graph)
+    contour_pole_count(witness_graph, ContourSpec(eps=0.35, delta=0.02))
+    new_spectra(sample_cover(complete_graph(4), 5, seed=3))
+    assert built == []
+    cover = sample_cover(_k4_minus_edge(), 3, seed=5)
+    new_spectra(cover)
+    assert built == [cover.total, cover.base]
+
+
 def test_new_spectra_trace_identity():
-    bases = [build_bouquet(2, 0), build_bouquet(0, 3), complete_graph(4)]
+    bases = [build_bouquet(2, 0), build_bouquet(0, 3), complete_graph(4),
+             _k4_minus_edge()]
     for base in bases:
         cover = sample_cover(base, 4, seed=17)
         _, new_hsh = new_spectra(cover)

@@ -96,7 +96,7 @@ def test_traces_match_spectrum_power_sums_sparse_path():
     # the ihara spectrum power sums
     g = sample_permutation_model(500, 4, seed=77)
     assert g.directed_edge_count == 2000
-    mu = hashimoto_spectrum(g, method="ihara")
+    mu = hashimoto_spectrum(g)
     for k in range(1, 7):
         exact = tr_hashimoto_power(g, k)
         approx = float(np.sum(mu ** k).real)

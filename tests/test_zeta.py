@@ -18,7 +18,6 @@ from nbzeta import (
     evaluate_L,
     evaluate_e,
     hashimoto_char_poly,
-    hashimoto_spectrum,
     integrate_circle,
     minus_zeta_log_derivative,
     verify_ihara,
@@ -26,7 +25,7 @@ from nbzeta import (
 from nbzeta import polys
 from nbzeta.graphs import regularity
 
-from conftest import named_corpus, random_regular_corpus
+from conftest import dense_hashimoto_eigenvalues, named_corpus, random_regular_corpus
 
 
 def _series_coeffs_of_rational(num, den, count):
@@ -78,14 +77,14 @@ def test_verify_ihara_half_loop_cleared_form():
 def test_verify_ihara_detects_violations(monkeypatch):
     import nbzeta.zeta as zeta_mod
 
-    real = zeta_mod._u_form_pencil_det
+    real = zeta_mod._quadratic_pencil_det
 
     def corrupted(adj_poly, n, c):
         out = list(real(adj_poly, n, c))
         out[0] += 1
         return out
 
-    monkeypatch.setattr(zeta_mod, "_u_form_pencil_det", corrupted)
+    monkeypatch.setattr(zeta_mod, "_quadratic_pencil_det", corrupted)
     with pytest.raises(IdentityViolation) as exc:
         verify_ihara(complete_graph(4))
     assert exc.value.lhs is not None and exc.value.rhs is not None
@@ -179,9 +178,7 @@ def test_log_derivative_identity_exact_k4():
 
 
 def _minus_zeta_logderiv_by_spectrum(g, u):
-    mu = hashimoto_spectrum(
-        g, method="direct" if g.directed_edge_count <= 4096 else "ihara"
-    )
+    mu = dense_hashimoto_eigenvalues(g)
     mu = mu[np.abs(mu) > 1e-12]
     return np.sum(1.0 / (u - 1.0 / mu))
 
@@ -251,8 +248,7 @@ def test_contour_negative_side():
 
 def test_contour_witness_nonzero(witness_graph):
     d = regularity(witness_graph)
-    mu = hashimoto_spectrum(witness_graph, method="ihara")
-    poles = mu / (d - 1)
+    poles = dense_hashimoto_eigenvalues(witness_graph) / (d - 1)
     spec = ContourSpec(eps=0.35, delta=0.02, sign=+1)
     cc = contour_pole_count(witness_graph, spec)
     sq = np.sqrt(d - 1.0)
