@@ -3,9 +3,13 @@
 Each sample draws a graph from the configured model with a seed derived
 from (master_seed, sample_index), counts eigenvalues at or above the
 Ramanujan threshold 2*sqrt(d-1) (or strict non-Ramanujan counts), and
-records (index, seed, count, lambda1, lambda2).  Reruns with the same
-config are byte-identical and longer runs extend shorter ones record for
-record.
+records (index, seed, count, lambda1, lambda2).  A cover counts its new
+spectrum, the total spectrum less the base's (a sub-multiset, since
+functions constant on fibres are invariant under A): its count is the
+total graph's count minus the base's.  Every model takes one route: a
+dense eigensolve up to DENSE_EIG_LIMIT vertices, seeded Lanczos above it.
+Reruns with the same config are byte-identical and longer runs extend
+shorter ones record for record.
 """
 
 import csv
@@ -18,7 +22,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import InvalidParams, ParseError, TooLarge
+from .errors import InvalidParams, ParseError
 from .graphs import adjacency_matrix, parse_graph, regularity
 from .models import (
     sample_cover,
@@ -30,7 +34,7 @@ from .rng import derive_seed
 from .spectra import (
     DENSE_EIG_LIMIT,
     default_tolerances,
-    new_spectra,
+    new_spectra,  # noqa: F401  perfbench/tracing.py wraps this name
     top_adjacency_eigenvalues,
 )
 
@@ -58,6 +62,8 @@ class CensusConfig:
     workers: int = 1
 
     def validate(self):
+        """Raise InvalidParams for a config that cannot run; return the
+        parsed cover base (None for the other models)."""
         if self.model not in ("perm", "cycle", "match", "cover"):
             raise InvalidParams(f"unknown model {self.model!r}")
         if self.mode not in ("at_least_2sqrt", "strict_nonramanujan"):
@@ -76,18 +82,19 @@ class CensusConfig:
             raise InvalidParams("match model needs even n and d >= 3")
         if self.workers < 1:
             raise InvalidParams("workers must be >= 1")
-        vertices = self.n
+        base, vertices = None, self.n
         if self.model == "cover":
-            vertices *= self._cover_base().vertex_count
+            base = self._cover_base()
+            vertices *= base.vertex_count
         if self.mode == "strict_nonramanujan" and vertices > DENSE_EIG_LIMIT:
             raise InvalidParams(
                 f"strict mode needs the dense spectrum: {vertices} vertices "
                 f"exceed {DENSE_EIG_LIMIT}"
             )
-        return self
+        return base
 
     def _cover_base(self):
-        """The parsed base graph; it must be regular with at least one edge."""
+        """The parsed base graph; it must be d-regular with at least one edge."""
         if not self.base_graph_text:
             raise InvalidParams("cover model needs a base graph file")
         try:
@@ -96,8 +103,13 @@ class CensusConfig:
             raise InvalidParams(f"cover base graph: {exc}") from exc
         if base.directed_edge_count == 0:
             raise InvalidParams("cover base graph has no edges")
-        if regularity(base) is None:
+        degree = regularity(base)
+        if degree is None:
             raise InvalidParams("cover base graph is not regular")
+        if degree != self.d:
+            raise InvalidParams(
+                f"cover base graph is {degree}-regular but d={self.d}"
+            )
         return base
 
 
@@ -122,9 +134,8 @@ class CensusResult:
 
 
 def _one_sample(args):
-    (model, n, d, mode, base_text, threshold_tol, master_seed, index) = args
+    (model, n, d, mode, tol, base, offset, master_seed, index) = args
     seed = derive_seed(master_seed, index)
-    cover = None
     if model == "perm":
         g = sample_permutation_model(n, d, seed)
     elif model == "cycle":
@@ -132,62 +143,50 @@ def _one_sample(args):
     elif model == "match":
         g = sample_matching_model(n, d, seed)
     else:
-        cover = sample_cover(parse_graph(base_text), n, seed)
-        g = cover.total
-    d_eff = regularity(g)
-    tol = threshold_tol if threshold_tol is not None else 1e-9 * d_eff
-    threshold = 2 * math.sqrt(d_eff - 1)
-
-    if g.vertex_count <= DENSE_EIG_LIMIT:
-        w = np.linalg.eigvalsh(adjacency_matrix(g).astype(float))[::-1]
-        top = w
-    else:
-        # one seeded Lanczos run serves both the record fields and the count
-        w = None
-        top = top_adjacency_eigenvalues(g, threshold - tol, seed=seed)
-    lam1 = float(top[0])
-    lam2 = float(top[1]) if len(top) > 1 else float("nan")
-
-    counted = None
-    if cover is not None:
-        counted, _ = new_spectra(cover)
-    elif w is not None:
-        counted = w
-
-    if mode == "at_least_2sqrt":
-        if counted is not None:
-            count = int(np.sum(np.asarray(counted) >= threshold - tol))
-        else:
-            count = int(np.sum(top >= threshold - tol))
-    else:
-        if counted is None:
-            raise TooLarge("strict mode needs the dense spectrum")
-        _, special_tol, _ = default_tolerances(d_eff)
-        vals = np.asarray(counted)
-        in_window = np.sum(
-            (vals > threshold + special_tol) & (vals < d_eff - special_tol)
-        )
-        at_threshold = np.sum(np.abs(vals - threshold) <= special_tol)
-        count = int(in_window + at_threshold)
+        g = sample_cover(base, n, seed).total
+    top = _top_eigenvalues(g, d, tol, seed)
     return SampleRecord(
         sample=index,
         seed=seed,
-        count=int(count),
-        lambda1=lam1,
-        lambda2=lam2,
+        count=_count(top, d, mode, tol) - offset,
+        lambda1=float(top[0]),
+        lambda2=float(top[1]) if len(top) > 1 else float("nan"),
     )
+
+
+def _top_eigenvalues(g, d, tol, seed):
+    """Descending adjacency eigenvalues of g: all of them up to the dense
+    limit, else the top ones down past the threshold by seeded Lanczos."""
+    if g.vertex_count <= DENSE_EIG_LIMIT:
+        return np.linalg.eigvalsh(adjacency_matrix(g).astype(float))[::-1]
+    return top_adjacency_eigenvalues(g, 2 * math.sqrt(d - 1) - tol, seed=seed)
+
+
+def _count(vals, d, mode, tol):
+    """The census count over eigenvalues vals: those at or above
+    2*sqrt(d-1) - tol, or in strict mode those strictly between the
+    threshold and d or at the threshold, both up to special_tol."""
+    threshold = 2 * math.sqrt(d - 1)
+    if mode == "at_least_2sqrt":
+        return int(np.sum(vals >= threshold - tol))
+    _, special_tol, _ = default_tolerances(d)
+    in_window = np.sum((vals > threshold + special_tol) & (vals < d - special_tol))
+    at_threshold = np.sum(np.abs(vals - threshold) <= special_tol)
+    return int(in_window + at_threshold)
 
 
 def run_census(config, out_path=None, progress=None):
     """Run the census; optionally stream records to a CSV file as they
     complete (in sample order) and write an aggregate JSON next to it."""
-    config.validate()
+    base = config.validate()
+    d, mode = config.d, config.mode
+    tol = config.threshold_tol if config.threshold_tol is not None else 1e-9 * d
+    # a cover counts its new spectrum: the total's count less the base's
+    offset = 0 if base is None else _count(
+        _top_eigenvalues(base, d, tol, config.master_seed), d, mode, tol
+    )
     tasks = [
-        (
-            config.model, config.n, config.d, config.mode,
-            config.base_graph_text, config.threshold_tol,
-            config.master_seed, i,
-        )
+        (config.model, config.n, d, mode, tol, base, offset, config.master_seed, i)
         for i in range(config.samples)
     ]
     records, reasons = [], Counter()

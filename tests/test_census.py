@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -10,12 +11,16 @@ from nbzeta import (
     build_bouquet,
     classify_non_ramanujan,
     complete_graph,
+    new_spectra,
+    petersen_graph,
     run_census,
+    sample_cover,
     sample_permutation_model,
     serialize_graph,
     spectrum_report,
 )
 from nbzeta import census as census_module
+from nbzeta.graphs import regularity
 from nbzeta.census import aggregate_json, records_csv, reproduce_section8, section8_table
 from nbzeta.spectra import default_tolerances
 
@@ -66,6 +71,13 @@ def test_config_rejects_bad_cover_base():
     _cfg(model="cover", base_graph_text=serialize_graph(build_bouquet(2, 0))).validate()
 
 
+def test_config_rejects_cover_degree_mismatch():
+    k4 = serialize_graph(complete_graph(4))
+    with pytest.raises(InvalidParams, match="3-regular.*d=4"):
+        _cfg(model="cover", d=4, base_graph_text=k4).validate()
+    _cfg(model="cover", d=3, base_graph_text=k4).validate()
+
+
 def test_config_rejects_nonpositive_workers():
     with pytest.raises(InvalidParams):
         _cfg(workers=0).validate()
@@ -79,9 +91,9 @@ def test_config_rejects_strict_mode_above_dense_limit():
     # covers count the total graph: n sheets times the base vertices
     k4 = serialize_graph(complete_graph(4))
     with pytest.raises(InvalidParams):
-        _cfg(model="cover", mode="strict_nonramanujan", n=limit // 4 + 1,
+        _cfg(model="cover", d=3, mode="strict_nonramanujan", n=limit // 4 + 1,
              base_graph_text=k4).validate()
-    _cfg(model="cover", mode="strict_nonramanujan", n=limit // 4,
+    _cfg(model="cover", d=3, mode="strict_nonramanujan", n=limit // 4,
          base_graph_text=k4).validate()
 
 
@@ -197,6 +209,132 @@ def test_census_cover_matches_perm_distribution():
     diff = (cover.mean + 1.0) - perm.mean
     sigma = math.hypot(cover.stderr, perm.stderr)
     assert abs(diff) <= 3.5 * sigma
+
+
+K4_TEXT = serialize_graph(complete_graph(4))
+
+# SHA-256 of records_csv for 12 samples at master seed 5, one per config;
+# records are byte-identical whichever route counts them
+PINNED_CSV = [
+    (dict(model="perm", d=4, n=20),
+     "4f778085a59d5d659c8b6c71b0dea99e8cb4b33fbe9b970ff7e16c340969354a"),
+    (dict(model="perm", d=4, n=20, mode="strict_nonramanujan"),
+     "71f8290d29e5eb7ec7a212dc52d8a19a423f76ab9ef1eec2a2d299268697f0bc"),
+    (dict(model="cycle", d=4, n=20),
+     "0bb5e245fc944d4b877b268f97d3ecc7395e0770b723c1ba3353f59c1f2acc31"),
+    (dict(model="match", d=3, n=20),
+     "3210a662c79f2f7af0e44a3dfb040ed9124c4bdaefb4c69bcf29a8cc02465159"),
+    (dict(model="cover", d=3, n=7, base_graph_text=K4_TEXT),
+     "0f15825ed8ef2b36e725142002144e5e3847a42e73f6cf66a1dd45a14e4ebe0c"),
+    (dict(model="cover", d=3, n=7, base_graph_text=K4_TEXT,
+          mode="strict_nonramanujan"),
+     "0f15825ed8ef2b36e725142002144e5e3847a42e73f6cf66a1dd45a14e4ebe0c"),
+    (dict(model="cover", d=4, n=9,
+          base_graph_text=serialize_graph(build_bouquet(2, 0))),
+     "b48283ce4464cec9a4d79850677c0821e1a812813ed52a3b5dd2b4b1775c6bd1"),
+    (dict(model="cover", d=4, n=9, mode="strict_nonramanujan",
+          base_graph_text=serialize_graph(build_bouquet(2, 0))),
+     "a73d8c06e1a2d1334a4e30bde3b0904046c044ef09ada4291d91a2f68513cffa"),
+    # odd n: one half-loop upstairs per base half-loop
+    (dict(model="cover", d=3, n=11,
+          base_graph_text=serialize_graph(build_bouquet(0, 3))),
+     "a7da6212a98a741a2f8edebbc64273bb8353559bdf2b52e2833f3984f7068499"),
+    (dict(model="cover", d=3, n=11, mode="strict_nonramanujan",
+          base_graph_text=serialize_graph(build_bouquet(0, 3))),
+     "6b92634033616643d07e7f3b0ccc582eb9fb0f3c08c0f84bc79bb4ea18487c63"),
+]
+
+
+@pytest.mark.parametrize("kw, digest", PINNED_CSV)
+def test_census_csv_pinned(kw, digest):
+    res = run_census(CensusConfig(samples=12, master_seed=5, **kw))
+    assert res.failures == 0
+    assert hashlib.sha256(records_csv(res).encode()).hexdigest() == digest
+
+
+def _oracle_count(vals, mode, d):
+    """The census count over an explicit list of eigenvalues."""
+    threshold = 2 * math.sqrt(d - 1)
+    _, special_tol, tol = default_tolerances(d)
+    vals = np.asarray(vals)
+    if mode == "at_least_2sqrt":
+        return int(np.sum(vals >= threshold - tol))
+    in_window = (vals > threshold + special_tol) & (vals < d - special_tol)
+    at_threshold = np.abs(vals - threshold) <= special_tol
+    return int(np.sum(in_window) + np.sum(at_threshold))
+
+
+@pytest.mark.parametrize("mode", ["at_least_2sqrt", "strict_nonramanujan"])
+@pytest.mark.parametrize("base, n", [
+    (complete_graph(4), 6),
+    (petersen_graph(), 4),
+    (build_bouquet(2, 0), 9),
+    (build_bouquet(0, 3), 7),
+    (build_bouquet(1, 1), 9),
+])
+def test_census_cover_counts_new_spectrum(base, n, mode):
+    # the count of a cover is that of its new adjacency spectrum, the
+    # total spectrum less the base's, matched here by new_spectra
+    d = regularity(base)
+    res = run_census(CensusConfig(
+        model="cover", d=d, n=n, samples=8, master_seed=23, mode=mode,
+        base_graph_text=serialize_graph(base),
+    ))
+    assert res.samples == 8
+    for rec in res.records:
+        new_adj, _ = new_spectra(sample_cover(base, n, rec.seed))
+        assert rec.count == _oracle_count(new_adj, mode, d)
+
+
+def test_census_cover_does_not_call_new_spectra(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("new_spectra called")
+
+    monkeypatch.setattr(census_module, "new_spectra", refuse)
+    res = run_census(_cfg(model="cover", d=3, n=6, samples=5, base_graph_text=K4_TEXT))
+    assert res.samples == 5 and res.failures == 0
+
+
+def test_census_parses_cover_base_once(monkeypatch):
+    calls = []
+    real = census_module.parse_graph
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(census_module, "parse_graph", counting)
+    run_census(_cfg(model="cover", d=3, n=6, samples=5, base_graph_text=K4_TEXT))
+    assert calls == [K4_TEXT]
+
+
+def test_census_cover_above_dense_limit():
+    # 1025 sheets over K4: 4100 total vertices, past DENSE_EIG_LIMIT
+    res = run_census(_cfg(model="cover", d=3, n=1025, samples=2, master_seed=4,
+                          base_graph_text=K4_TEXT))
+    assert res.failures == 0 and res.samples == 2
+    assert all(abs(r.lambda1 - 3.0) < 1e-6 for r in res.records)
+
+
+def test_census_cover_lanczos_matches_dense(monkeypatch):
+    cfg = _cfg(model="cover", d=3, n=30, samples=6, master_seed=9,
+               base_graph_text=K4_TEXT)
+    dense = run_census(cfg)
+    calls = []
+    real = census_module.top_adjacency_eigenvalues
+
+    def counting(g, *args, **kw):
+        calls.append(g.vertex_count)
+        return real(g, *args, **kw)
+
+    monkeypatch.setattr(census_module, "top_adjacency_eigenvalues", counting)
+    monkeypatch.setattr(census_module, "DENSE_EIG_LIMIT", 64)
+    sparse = run_census(cfg)
+    assert calls == [120] * 6
+    assert sparse.failures == 0
+    assert [r.count for r in sparse.records] == [r.count for r in dense.records]
+    for s, d in zip(sparse.records, dense.records):
+        assert abs(s.lambda1 - d.lambda1) <= 1e-8
 
 
 def test_section8_table_shape():

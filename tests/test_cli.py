@@ -73,6 +73,23 @@ def test_cli_census_rejects_irregular_base(tmp_path, capsys):
     assert captured.out == "" and "not regular" in captured.err
 
 
+def test_cli_census_rejects_cover_degree_mismatch(tmp_path, capsys):
+    # K4 is 3-regular; --d defaults to 4
+    base = _write_graph(tmp_path, complete_graph(4), "k4.nbg")
+    rc = main([
+        "census", "--model", "cover", "--base", str(base), "--n", "8",
+        "--samples", "4",
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "3-regular" in captured.err
+    rc = main([
+        "census", "--model", "cover", "--base", str(base), "--n", "8",
+        "--d", "3", "--samples", "4",
+    ])
+    assert rc == 0
+
+
 def test_cli_zeta(tmp_path, capsys):
     path = _write_graph(tmp_path, complete_graph(4))
     rc = main([
