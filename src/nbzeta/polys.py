@@ -13,23 +13,6 @@ def normalize(p):
     return list(p[:n])
 
 
-def add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return normalize(out)
-
-
-def neg(a):
-    return [-c for c in a]
-
-
-def sub(a, b):
-    return add(a, neg(b))
-
-
 def mul(a, b):
     if not a or not b:
         return []
@@ -40,12 +23,6 @@ def mul(a, b):
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return normalize(out)
-
-
-def scale(a, c):
-    if c == 0:
-        return []
-    return [c * x for x in a]
 
 
 def pow_(a, k):

@@ -88,39 +88,89 @@ class ResidueReport:
 def hashimoto_char_poly(g, limit=EXACT_CHARPOLY_LIMIT):
     """(det(mu I - H), det(I - u H)) as exact ascending coefficient lists.
 
+    Two routes, both exact.  A regular graph with edges takes the Ihara
+    pencil of its n x n adjacency A (Bass 1992; Kotani-Sunada 2000):
+
+        det(mu I - H) = det(mu^2 I - mu A + (d-1) I) (mu+1)^|half|
+                        (mu^2-1)^(|pair|-|V|),
+
+    with a negative exponent an exact division; H is never built.  An
+    irregular graph (or one without edges, whose H is empty) takes the
+    modular charpoly of H itself.  The limit bounds |E^dir| on both routes.
+
     The two are coefficient reversals of one another since det(mu I - H)
     is monic of degree |E^dir|.
     """
     m = g.directed_edge_count
     if m > limit:
         raise TooLarge(f"exact char poly limited to {limit} directed edges")
-    mu_poly = charpoly(hashimoto_matrix(g), limit=limit)
+    d = regularity(g)
+    if not d:
+        mu_poly = charpoly(hashimoto_matrix(g), limit=limit)
+    else:
+        counts = graph_counts(g)
+        adj_poly = charpoly(adjacency_matrix(g), limit=limit)
+        mu_poly = _divide_by_mu2_minus_1(
+            _pencil_side(adj_poly, d, counts), counts.vertices - counts.pairs
+        )
     u_poly = polys.reciprocal(mu_poly, degree=m)
     return mu_poly, u_poly
 
 
 def _quadratic_pencil_det(adj_poly, n, c):
-    """det(mu^2 I - mu A + c I) from the charpoly p_A of A:
-    substitute x = (mu^2 + c)/mu, i.e. sum_k a_k (mu^2+c)^k mu^(n-k)."""
-    out = []
-    base = [c, 0, 1]  # mu^2 + c
-    for k, a in enumerate(adj_poly):
-        if a == 0:
-            continue
-        term = polys.scale(polys.mul(polys.pow_(base, k), [0] * (n - k) + [1]), a)
-        out = polys.add(out, term)
+    """det(mu^2 I - mu A + c I) from the charpoly p_A = sum a_k x^k of A:
+    mu^n p_A((mu^2 + c)/mu) = sum_k a_k (mu^2 + c)^k mu^(n-k), by Horner in
+    B = mu^2 + c: R_n = a_n, R_j = R_{j+1} B + a_j mu^(n-j), result R_0."""
+    out = [adj_poly[n]]
+    for j in range(n - 1, -1, -1):
+        nxt = [0, 0] + out
+        for i, r in enumerate(out):
+            nxt[i] += c * r
+        nxt[n - j] += adj_poly[j]
+        out = nxt
+    return polys.normalize(out)
+
+
+def _pencil_side(adj_poly, d, counts):
+    """The A side of the Ihara identity with denominators cleared:
+    det(mu^2 I - mu A + (d-1) I) (mu+1)^|half| (mu^2-1)^max(0, |pair|-|V|)."""
+    out = polys.mul(
+        _quadratic_pencil_det(adj_poly, counts.vertices, d - 1),
+        polys.pow_([1, 1], counts.half_loops),
+    )
+    extra = counts.pairs - counts.vertices
+    if extra > 0:
+        out = polys.mul(polys.pow_([-1, 0, 1], extra), out)
     return out
+
+
+def _divide_by_mu2_minus_1(p, times):
+    """p / (mu^2 - 1)^times (times <= 0: p itself) by synthetic division;
+    raises IdentityViolation when a division leaves a remainder."""
+    for _ in range(times):
+        p = list(p)
+        # top down: entry i >= 2 becomes the quotient's mu^(i-2) coefficient
+        for i in range(len(p) - 1, 1, -1):
+            p[i - 2] += p[i]
+        if p[0] or p[1]:
+            raise IdentityViolation(
+                f"Ihara pencil leaves remainder {p[:2]} modulo mu^2 - 1"
+            )
+        p = p[2:]
+    return p
 
 
 def verify_ihara(g, limit=EXACT_CHARPOLY_LIMIT):
     """Check the determinant identity linking H and A coefficient-exactly.
 
-    Half-loop-free: det(I - uH) = det(I - uA + u^2(d-1)I) (1-u^2)^(-chi).
-    With half-loops: det(mu I - H) (mu^2-1)^(max(0, |V|-|pair|)) =
-        det(mu^2 I - mu A + (d-1)I) (mu+1)^(|half|)
-        (mu^2-1)^(max(0, |pair|-|V|)),
+    det(mu I - H) (mu^2-1)^max(0, |V|-|pair|) =
+        det(mu^2 I - mu A + (d-1)I) (mu+1)^|half| (mu^2-1)^max(0, |pair|-|V|),
+
     i.e. the identity with exponent |pair| - |V| after clearing
-    denominators.
+    denominators; without half-loops it is the reversal of
+    det(I - uH) = det(I - uA + u^2(d-1)I) (1-u^2)^(-chi).  The H side is
+    the modular charpoly of H itself, never hashimoto_char_poly, whose
+    regular route is the A side.
 
     Returns an IharaReport; raises IdentityViolation on mismatch.
     """
@@ -128,36 +178,13 @@ def verify_ihara(g, limit=EXACT_CHARPOLY_LIMIT):
     if d is None:
         raise MethodUnsupported("identity check needs a regular graph")
     counts = graph_counts(g)
-    adj_poly = charpoly(adjacency_matrix(g), limit=limit)
-    n = g.vertex_count
-    if counts.half_loops == 0:
-        _, u_poly = hashimoto_char_poly(g, limit=limit)
-        # det(I - uA + (d-1)u^2 I) is the reversal of the degree-2n mu-form
-        rhs = polys.reciprocal(_quadratic_pencil_det(adj_poly, n, d - 1), 2 * n)
-        chi = counts.euler_characteristic
-        one_minus_u2 = [1, 0, -1]
-        if chi <= 0:
-            rhs = polys.mul(rhs, polys.pow_(one_minus_u2, -chi))
-            lhs = u_poly
-        else:
-            lhs = polys.mul(u_poly, polys.pow_(one_minus_u2, chi))
-        if lhs != rhs:
-            raise IdentityViolation("Ihara identity failed", lhs=lhs, rhs=rhs)
-        return IharaReport(True, lhs, rhs, 0, d)
-    mu_poly, _ = hashimoto_char_poly(g, limit=limit)
-    pencil = _quadratic_pencil_det(adj_poly, n, d - 1)
-    rhs = polys.mul(pencil, polys.pow_([1, 1], counts.half_loops))
-    mu2_minus_1 = [-1, 0, 1]
-    extra = counts.pairs - counts.vertices
-    lhs = mu_poly
-    if extra >= 0:
-        rhs = polys.mul(rhs, polys.pow_(mu2_minus_1, extra))
-    else:
-        lhs = polys.mul(lhs, polys.pow_(mu2_minus_1, -extra))
+    lhs = charpoly(hashimoto_matrix(g), limit=limit)
+    deficit = counts.vertices - counts.pairs
+    if deficit > 0:
+        lhs = polys.mul(polys.pow_([-1, 0, 1], deficit), lhs)
+    rhs = _pencil_side(charpoly(adjacency_matrix(g), limit=limit), d, counts)
     if lhs != rhs:
-        raise IdentityViolation(
-            "half-loop Ihara identity failed", lhs=lhs, rhs=rhs
-        )
+        raise IdentityViolation("Ihara identity failed", lhs=lhs, rhs=rhs)
     return IharaReport(True, lhs, rhs, counts.half_loops, d)
 
 
@@ -286,20 +313,18 @@ def _rectangle_corners(spec, d):
     return [a - 1j * dl, b - 1j * dl, b + 1j * dl, a + 1j * dl]
 
 
-def _inside_rectangle(z, corners):
+def _pole_distances(poles, corners):
+    """Distance of each pole to the rectangle's boundary, and whether the
+    pole lies strictly inside."""
     x0, x1 = corners[0].real, corners[1].real
     y0, y1 = corners[0].imag, corners[3].imag
-    return (x0 < z.real < x1) and (y0 < z.imag < y1)
-
-
-def _distance_to_rectangle_boundary(z, corners):
-    x0, x1 = corners[0].real, corners[1].real
-    y0, y1 = corners[0].imag, corners[3].imag
-    dx = max(x0 - z.real, 0.0, z.real - x1)
-    dy = max(y0 - z.imag, 0.0, z.imag - y1)
-    if dx > 0.0 or dy > 0.0:
-        return np.hypot(dx, dy)
-    return min(z.real - x0, x1 - z.real, z.imag - y0, y1 - z.imag)
+    re, im = poles.real, poles.imag
+    dx = np.maximum(np.maximum(x0 - re, 0.0), re - x1)
+    dy = np.maximum(np.maximum(y0 - im, 0.0), im - y1)
+    outside = (dx > 0.0) | (dy > 0.0)
+    to_side = np.minimum(np.minimum(re - x0, x1 - re), np.minimum(im - y0, y1 - im))
+    inside = (x0 < re) & (re < x1) & (y0 < im) & (im < y1)
+    return np.where(outside, np.hypot(dx, dy), to_side), inside
 
 
 def contour_pole_count(g, spec, pole_clearance=1e-9):
@@ -309,7 +334,7 @@ def contour_pole_count(g, spec, pole_clearance=1e-9):
     numeric = (1/2 pi i) contour integral of L, per-side trapezoid with an
     Euler-Maclaurin endpoint correction from the closed-form derivative of
     L (the plain rule stalls at O(h^2) across the rectangle corners).
-    Sums are compensated so the result is deterministic.
+    The sums over poles and quadrature nodes are numpy's pairwise sums.
     """
     poles, d = _scaled_poles(g)
     if d < 2:
@@ -317,49 +342,31 @@ def contour_pole_count(g, spec, pole_clearance=1e-9):
     corners = _rectangle_corners(spec, d)
     if spec.eps <= 0 or spec.delta <= 0:
         raise ValueError("eps and delta must be positive")
-    for z in poles:
-        if _distance_to_rectangle_boundary(complex(z), corners) < pole_clearance:
-            raise NearContourPole(
-                f"pole {z} within {pole_clearance} of the contour"
-            )
-    exact = sum(1 for z in poles if _inside_rectangle(complex(z), corners))
+    dist, inside = _pole_distances(poles, corners)
+    near = np.flatnonzero(dist < pole_clearance)
+    if near.size:
+        raise NearContourPole(
+            f"pole {poles[near[0]]} within {pole_clearance} of the contour"
+        )
+    exact = int(np.count_nonzero(inside))
 
     N = spec.quadrature_points
+    h = 1.0 / N
+    ts = np.linspace(0.0, 1.0, N + 1)
     total = 0.0 + 0.0j
     for i in range(4):
         z0, z1 = corners[i], corners[(i + 1) % 4]
         w = z1 - z0
-        ts = np.linspace(0.0, 1.0, N + 1)
         zs = z0 + w * ts
-        vals = 1.0 / (zs[:, None] - poles[None, :])
-        f = _compensated_rowsum(vals)
-        h = 1.0 / N
-        side = (0.5 * (f[0] + f[-1]) + _compensated_sum(f[1:-1])) * h * w
+        f = (1.0 / (zs[:, None] - poles[None, :])).sum(axis=1)
+        side = (0.5 * (f[0] + f[-1]) + f[1:-1].sum()) * h * w
         # endpoint correction: g(t) = L(z0 + w t) * w, g' = L'(z) w^2
-        lp0 = -_compensated_sum(1.0 / (z0 - poles) ** 2)
-        lp1 = -_compensated_sum(1.0 / (z1 - poles) ** 2)
+        lp0 = -(1.0 / (z0 - poles) ** 2).sum()
+        lp1 = -(1.0 / (z1 - poles) ** 2).sum()
         side -= (h * h / 12.0) * (lp1 - lp0) * w * w
         total += side
     numeric = total / (2j * np.pi)
-    return ContourCount(numeric=complex(numeric), exact=int(exact))
-
-
-def _compensated_sum(values):
-    s = 0.0 + 0.0j
-    c = 0.0 + 0.0j
-    for v in np.asarray(values, dtype=complex):
-        y = v - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-    return s
-
-
-def _compensated_rowsum(mat):
-    out = np.empty(mat.shape[0], dtype=complex)
-    for i in range(mat.shape[0]):
-        out[i] = _compensated_sum(mat[i])
-    return out
+    return ContourCount(numeric=complex(numeric), exact=exact)
 
 
 class DivisorSumGeneratingFunction:
@@ -375,25 +382,39 @@ class DivisorSumGeneratingFunction:
         if d < 3:
             raise ValueError("needs d >= 3")
         self.d = d
+        self._coefficients = {}
 
     def leading(self, u):
         u = complex(u)
         return 1.0 / (u - 1.0) + u / (u * u - 1.0 / (self.d - 1))
 
+    def _tail_coefficients(self, terms):
+        """c_k = t_k (d-1)^(-k) with t_k = sum_{k'|k, k'<=k/3} (d-1)^k', for
+        k = 1..terms: exact sums (a sieve over the divisors k') rounded once
+        to float, computed once per truncation."""
+        if terms not in self._coefficients:
+            q = self.d - 1
+            tails = [0] * (terms + 1)
+            for kp in range(1, terms // 3 + 1):
+                power = q ** kp
+                for k in range(3 * kp, terms + 1, kp):
+                    tails[k] += power
+            self._coefficients[terms] = [
+                float(Fraction(t, q ** k)) for k, t in enumerate(tails) if k
+            ]
+        return self._coefficients[terms]
+
     def remainder(self, u, terms=200):
         """cP0(u) minus the two leading closed-form terms, by truncated
         series; valid for |u| > (d-1)^(-2/3)."""
         u = complex(u)
-        d = self.d
-        # exact tail: sum_k u^(-1-k) (d-1)^(-k) [sum_{k'|k, k'<=k/3} (d-1)^k']
-        # minus the single-power corrections absorbed by the closed forms
+        # exact tail sum_k c_k u^(-1-k), by Horner in 1/u, minus the
+        # single-power corrections absorbed by the closed forms
+        v = 1.0 / u
         acc = 0.0 + 0.0j
-        for k in range(1, terms + 1):
-            tail = sum(
-                (d - 1) ** kp for kp in range(1, k // 3 + 1) if k % kp == 0
-            )
-            acc += u ** (-1 - k) * tail * (d - 1) ** (-k)
-        return acc - 2.0 / u
+        for c in reversed(self._tail_coefficients(terms)):
+            acc = (acc + c) * v
+        return (acc - 2.0) * v
 
     def __call__(self, u, terms=200):
         return self.leading(u) + self.remainder(u, terms=terms)

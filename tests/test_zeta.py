@@ -91,6 +91,33 @@ def test_verify_ihara_detects_violations(monkeypatch):
     assert exc.value.lhs != exc.value.rhs
 
 
+def test_verify_ihara_independent_of_char_poly_route(monkeypatch):
+    import nbzeta.zeta as zeta_mod
+
+    real_char_poly = zeta_mod.hashimoto_char_poly
+
+    def corrupted(g, **kwargs):
+        mu_poly, u_poly = real_char_poly(g, **kwargs)
+        return [mu_poly[0] + 1] + mu_poly[1:], u_poly
+
+    monkeypatch.setattr(zeta_mod, "hashimoto_char_poly", corrupted)
+    assert verify_ihara(complete_graph(4)).holds
+
+    shapes = []
+    real = zeta_mod.charpoly
+
+    def recording(M, limit):
+        shapes.append(M.shape)
+        return real(M, limit=limit)
+
+    monkeypatch.setattr(zeta_mod, "charpoly", recording)
+    for g in (complete_graph(4), build_bouquet(0, 3)):
+        shapes.clear()
+        assert verify_ihara(g).holds
+        m = g.directed_edge_count
+        assert shapes.count((m, m)) == 1, shapes
+
+
 def test_essential_series_examples():
     s = essential_log_derivative_coeffs(complete_graph(4), 3)
     assert list(s.coefficients) == [12, 0, 0, 3]
@@ -310,3 +337,32 @@ def test_cp0_series_consistency():
             for k in range(1, 120)
         )
         assert abs(rep.function(u) - direct) < 1e-12
+
+
+def _cp0_remainder_double_loop(d, u, terms=200):
+    """Reference: the divisor tail recomputed term by term at every u."""
+    acc = 0.0 + 0.0j
+    for k in range(1, terms + 1):
+        tail = sum((d - 1) ** kp for kp in range(1, k // 3 + 1) if k % kp == 0)
+        acc += u ** (-1 - k) * tail * (d - 1) ** (-k)
+    return acc - 2.0 / u
+
+
+@pytest.mark.parametrize("d", [4, 6, 10])
+def test_cp0_remainder_matches_double_loop(d):
+    gen = cP0_residues(d).function
+    rho = (d - 1) ** (-2.0 / 3.0)
+    for scale in (1.05, 1.3, 2.0, 5.0):
+        for angle in np.linspace(0.0, 2 * np.pi, 13)[:-1]:
+            u = scale * rho * np.exp(1j * angle)
+            ref = _cp0_remainder_double_loop(d, u)
+            assert abs(gen.remainder(u) - ref) <= 1e-12 * max(1.0, abs(ref)), (scale, angle)
+
+
+def test_cp0_remainder_large_d():
+    # (d-1)^k' overflows a float here; the tail coefficients t_k (d-1)^(-k)
+    # do not.  Only k = 3 matters at 1e-15: t_3 = d-1, so the tail is
+    # 2^-4 (d-1)^-2.
+    d = 10**5
+    gen = cP0_residues(d).function
+    assert abs(gen.remainder(2.0) - (-1.0 + 1.0 / (16 * (d - 1) ** 2))) < 1e-15
