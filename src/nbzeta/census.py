@@ -318,7 +318,7 @@ def reproduce_section8(preset, samples_override=None, seed=0, workers=1):
     if preset not in PAPER_SECTION8:
         raise InvalidParams(f"unknown preset {preset!r}; have {sorted(PAPER_SECTION8)}")
     model, n, paper_mean, paper_samples = PAPER_SECTION8[preset]
-    samples = samples_override if samples_override else paper_samples
+    samples = paper_samples if samples_override is None else samples_override
     config = CensusConfig(
         model=model, d=4, n=n, samples=samples, master_seed=seed, workers=workers
     )

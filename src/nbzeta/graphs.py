@@ -62,39 +62,60 @@ class GraphCounts:
     euler_characteristic: int
 
 
-def _as_index_array(seq, name, upper):
-    arr = np.asarray(seq, dtype=np.int64)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
+def _check_range(arr, name, upper):
     if arr.size and (arr.min() < 0 or arr.max() >= upper):
         raise IndexOutOfRange(f"{name} index outside [0, {upper})")
-    return arr
 
 
 def build_graph(vertex_count, directed_edges, involution):
     """Validate and freeze a Graph.
 
-    directed_edges is a sequence of (tail, head); involution maps each
-    directed edge index to its opposite edge index.
+    directed_edges is m pairs (tail, head), a sequence or an (m, 2) array;
+    involution maps each directed edge index to its opposite edge index.
+    The Graph holds its own C-contiguous int64 copies.
     """
     if vertex_count < 0:
         raise IndexOutOfRange("vertex_count must be nonnegative")
-    edges = list(directed_edges)
-    if len(edges) != len(involution):
-        raise InvalidInvolution("involution length differs from edge count")
+    edges = np.asarray(directed_edges, dtype=np.int64)
+    if edges.shape == (0,):
+        edges = edges.reshape(0, 2)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise ValueError("directed_edges must be m (tail, head) pairs")
     m = len(edges)
-    tails = _as_index_array([e[0] for e in edges], "tail", vertex_count)
-    heads = _as_index_array([e[1] for e in edges], "head", vertex_count)
-    inv = _as_index_array(involution, "involution", m)
+    if m != len(involution):
+        raise InvalidInvolution("involution length differs from edge count")
+    tails = edges[:, 0].copy()
+    heads = edges[:, 1].copy()
+    inv = np.array(involution, dtype=np.int64).reshape(-1)
+    _check_range(tails, "tail", vertex_count)
+    _check_range(heads, "head", vertex_count)
+    _check_range(inv, "involution", m)
     if m:
         if not np.array_equal(inv[inv], np.arange(m)):
             raise InvalidInvolution("involution is not an involution")
         if not np.array_equal(tails[inv], heads):
             raise InvalidInvolution("tail of opposite edge must equal head")
-    g = Graph(int(vertex_count), tails, heads, inv)
-    for arr in (g.tails, g.heads, g.involution):
+    for arr in (tails, heads, inv):
         arr.setflags(write=False)
-    return g
+    return Graph(int(vertex_count), tails, heads, inv)
+
+
+def graph_from_pairs(vertex_count, a, b, half_loops=()):
+    """Graph with one undirected edge {a[k], b[k]} per k, then one half-loop
+    at each vertex of half_loops.
+
+    Directed edge 2k is a[k] -> b[k] and 2k+1 the way back; the half-loops
+    follow the pairs, each its own opposite.
+    """
+    pairs = np.stack([a, b], axis=-1).astype(np.int64)
+    half = np.asarray(half_loops, dtype=np.int64)
+    edges = np.concatenate([
+        np.stack([pairs, pairs[:, ::-1]], axis=1).reshape(-1, 2),
+        np.stack([half, half], axis=-1),
+    ])
+    inv = np.arange(len(edges), dtype=np.int64)
+    inv[: 2 * len(pairs)] ^= 1
+    return build_graph(vertex_count, edges, inv)
 
 
 def graph_counts(g):
@@ -225,25 +246,14 @@ def parse_graph(text):
 
 def complete_graph(n):
     """K_n with both orientations of each of the n(n-1)/2 edges."""
-    edges, inv = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            k = len(edges)
-            edges.append((i, j))
-            edges.append((j, i))
-            inv.extend([k + 1, k])
-    return build_graph(n, edges, inv)
+    return graph_from_pairs(n, *np.triu_indices(n, k=1))
 
 
 def petersen_graph():
     """The Petersen graph: outer C5, inner pentagram, spokes."""
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, 5 + i) for i in range(5)]
-    edges, inv = [], []
-    for a, b in outer + inner + spokes:
-        k = len(edges)
-        edges.append((a, b))
-        edges.append((b, a))
-        inv.extend([k + 1, k])
-    return build_graph(10, edges, inv)
+    i = np.arange(5)
+    return graph_from_pairs(
+        10,
+        np.concatenate([i, 5 + i, i]),
+        np.concatenate([(i + 1) % 5, 5 + (i + 2) % 5, 5 + i]),
+    )

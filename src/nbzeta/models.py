@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams
-from .graphs import Graph, build_graph
+from .graphs import Graph, build_graph, graph_from_pairs
 from .rng import SeedStream
 
 
@@ -39,14 +39,8 @@ def _permutations_to_graph(n, perms):
     2*(j*n+i) (i -> pi(i)) and 2*(j*n+i)+1 (back).  A fixed point becomes a
     whole-loop: its two orientations stay distinct.
     """
-    edges, inv = [], []
-    for pi in perms:
-        for i in range(n):
-            k = len(edges)
-            edges.append((i, pi[i]))
-            edges.append((pi[i], i))
-            inv.extend([k + 1, k])
-    return build_graph(n, edges, inv)
+    heads = np.asarray(perms, dtype=np.int64).reshape(-1)
+    return graph_from_pairs(n, np.tile(np.arange(n), len(perms)), heads)
 
 
 def sample_permutation_model(n, d, seed):
@@ -82,31 +76,16 @@ def sample_matching_model(n, d, seed):
     if d < 3:
         raise InvalidParams("match model needs d >= 3")
     stream = SeedStream(seed)
-    edges, inv = [], []
-    for _ in range(d):
-        m = stream.perfect_matching(n)
-        for i in range(n):
-            if i < m[i]:
-                k = len(edges)
-                edges.append((i, m[i]))
-                edges.append((m[i], i))
-                inv.extend([k + 1, k])
-    return build_graph(n, edges, inv)
+    mates = np.array([stream.perfect_matching(n) for _ in range(d)], dtype=np.int64)
+    i = np.broadcast_to(np.arange(n), mates.shape)
+    keep = i < mates
+    return graph_from_pairs(n, i[keep], mates[keep])
 
 
 def build_bouquet(whole_loops, half_loops):
     """One vertex with the stated loops; degree 2*whole + half."""
-    edges, inv = [], []
-    for _ in range(whole_loops):
-        k = len(edges)
-        edges.append((0, 0))
-        edges.append((0, 0))
-        inv.extend([k + 1, k])
-    for _ in range(half_loops):
-        k = len(edges)
-        edges.append((0, 0))
-        inv.append(k)
-    return build_graph(1, edges, inv)
+    loops = np.zeros(whole_loops, dtype=np.int64)
+    return graph_from_pairs(1, loops, loops, np.zeros(half_loops, dtype=np.int64))
 
 
 def sample_cover(base, n, seed):
@@ -125,12 +104,14 @@ def sample_cover(base, n, seed):
     stream = SeedStream(seed)
     m = base.directed_edge_count
     inv_b = base.involution
+    sheets = np.arange(n, dtype=np.int64)
 
-    # sigma[e][i]: sheet reached from sheet i along base edge e
-    sigma = [None] * m
+    # sigma[e, i]: sheet reached from sheet i along base edge e; the
+    # opposite of a pair gets the inverse permutation
+    sigma = np.empty((m, n), dtype=np.int64)
     for e in range(m):
         opp = int(inv_b[e])
-        if sigma[e] is not None:
+        if opp < e:
             continue
         if opp == e:
             if n % 2 == 0:
@@ -138,34 +119,24 @@ def sample_cover(base, n, seed):
             else:
                 sigma[e] = stream.near_perfect_matching(n)
         else:
-            pi = stream.permutation(n)
-            sigma[e] = pi
-            inv_pi = [0] * n
-            for i, x in enumerate(pi):
-                inv_pi[x] = i
-            sigma[opp] = inv_pi
+            sigma[e] = stream.permutation(n)
+            sigma[opp, sigma[e]] = sheets
 
-    edges, inv, edge_map = [], [], []
-    for e in range(m):
-        t, h = int(base.tails[e]), int(base.heads[e])
-        opp = int(inv_b[e])
-        pi = sigma[e]
-        for i in range(n):
-            edges.append((t * n + i, h * n + pi[i]))
-            edge_map.append(e)
-            if opp == e:
-                # lift of a half-loop: pairs sheets i and pi(i); a fixed
-                # point stays a half-loop upstairs
-                inv.append(e * n + pi[i])
-            else:
-                inv.append(opp * n + pi[i])
-    total = build_graph(base.vertex_count * n, edges, inv)
-    vertex_map = np.arange(base.vertex_count * n, dtype=np.int64) // n
+    # (e, i) -> (inv(e), sigma[e, i]) serves pairs and half-loops alike: a
+    # half-loop is its own opposite, and a fixed point lifts to itself
+    tails = base.tails[:, None] * n + sheets
+    heads = base.heads[:, None] * n + sigma
+    inv = inv_b[:, None] * n + sigma
+    total = build_graph(
+        base.vertex_count * n,
+        np.stack([tails.ravel(), heads.ravel()], axis=-1),
+        inv.ravel(),
+    )
     return CoveringMap(
         base=base,
         total=total,
-        vertex_map=vertex_map,
-        edge_map=np.asarray(edge_map, dtype=np.int64),
+        vertex_map=np.arange(base.vertex_count * n, dtype=np.int64) // n,
+        edge_map=np.repeat(np.arange(m, dtype=np.int64), n),
         degree=n,
     )
 

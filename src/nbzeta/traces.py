@@ -247,7 +247,7 @@ def exact_expected_trace_small(n, d, k, max_tuples=10_000_000):
         raise TooLarge(f"{count} permutation tuples exceed the enumeration guard")
     total = 0
     for tup in itertools.product(perms, repeat=d // 2):
-        g = _permutations_to_graph(n, [list(p) for p in tup])
+        g = _permutations_to_graph(n, tup)
         total += tr_hashimoto_power(g, k)
     return Fraction(total, count)
 

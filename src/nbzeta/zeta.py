@@ -327,7 +327,7 @@ def _pole_distances(poles, corners):
     return np.where(outside, np.hypot(dx, dy), to_side), inside
 
 
-def contour_pole_count(g, spec, pole_clearance=1e-9):
+def contour_pole_count(g, spec, pole_clearance=None):
     """(numeric, exact) count of Hashimoto eigenvalues whose image mu/(d-1)
     lies inside the rectangle contour.
 
@@ -335,6 +335,11 @@ def contour_pole_count(g, spec, pole_clearance=1e-9):
     Euler-Maclaurin endpoint correction from the closed-form derivative of
     L (the plain rule stalls at O(h^2) across the rectangle corners).
     The sums over poles and quadrature nodes are numpy's pairwise sums.
+
+    A pole closer to the contour than pole_clearance raises
+    NearContourPole.  The default is 3 quadrature steps of the longer side:
+    the trapezoid error near a pole at distance rho is about
+    exp(-2 pi rho / step), so a nearer pole could give a wrong count.
     """
     poles, d = _scaled_poles(g)
     if d < 2:
@@ -342,6 +347,10 @@ def contour_pole_count(g, spec, pole_clearance=1e-9):
     corners = _rectangle_corners(spec, d)
     if spec.eps <= 0 or spec.delta <= 0:
         raise ValueError("eps and delta must be positive")
+    N = spec.quadrature_points
+    if pole_clearance is None:
+        longer = max(abs(corners[1] - corners[0]), abs(corners[3] - corners[0]))
+        pole_clearance = 3.0 * longer / N
     dist, inside = _pole_distances(poles, corners)
     near = np.flatnonzero(dist < pole_clearance)
     if near.size:
@@ -350,7 +359,6 @@ def contour_pole_count(g, spec, pole_clearance=1e-9):
         )
     exact = int(np.count_nonzero(inside))
 
-    N = spec.quadrature_points
     h = 1.0 / N
     ts = np.linspace(0.0, 1.0, N + 1)
     total = 0.0 + 0.0j

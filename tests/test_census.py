@@ -347,6 +347,20 @@ def test_section8_table_shape():
         reproduce_section8("G9_17")
 
 
+def test_section8_rejects_zero_samples(monkeypatch):
+    # an override of 0 must reach validation, not fall back to the
+    # paper's 10,000 samples
+    real = census_module.run_census
+
+    def spy(config, *args, **kwargs):
+        assert config.samples == 0, f"ran {config.samples} samples"
+        return real(config, *args, **kwargs)
+
+    monkeypatch.setattr(census_module, "run_census", spy)
+    with pytest.raises(InvalidParams):
+        reproduce_section8("G4_100", samples_override=0)
+
+
 def test_census_sparse_path_deterministic():
     # vertex counts beyond the dense limit go through seeded Lanczos; the
     # records must still be byte-identical across reruns

@@ -138,6 +138,18 @@ def test_cli_section8(capsys):
     assert "G4_100" in capsys.readouterr().out
 
 
+def test_cli_section8_rejects_zero_samples(monkeypatch, capsys):
+    real = census_module.run_census
+
+    def spy(config, *args, **kwargs):
+        assert config.samples == 0, f"ran {config.samples} samples"
+        return real(config, *args, **kwargs)
+
+    monkeypatch.setattr(census_module, "run_census", spy)
+    assert main(["section8", "--preset", "G4_100", "--samples", "0"]) == 2
+    assert "samples must be >= 1" in capsys.readouterr().err
+
+
 def test_cli_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.nbg"
     bad.write_text("not a graph\n")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,10 @@ from nbzeta import (
     hashimoto_matrix,
     parse_graph,
     petersen_graph,
+    sample_cover,
+    sample_matching_model,
+    sample_permutation_model,
+    sample_single_cycle_model,
     serialize_graph,
 )
 from nbzeta.graphs import degrees, regularity
@@ -142,3 +148,133 @@ def test_row_sums_equal_degrees_random():
         H = hashimoto_matrix(g)
         assert np.all(H.sum(axis=1) == d - 1)
         assert parse_graph(serialize_graph(g)) == g
+
+
+_BASES = {
+    "K4": complete_graph(4),
+    "Petersen": petersen_graph(),
+    "bouquet(2,0)": build_bouquet(2, 0),
+    "bouquet(0,3)": build_bouquet(0, 3),
+    "bouquet(1,1)": build_bouquet(1, 1),
+}
+
+
+def _cover_total(base, n, seed):
+    return sample_cover(_BASES[base], n, seed).total
+
+
+# SHA-256 of serialize_graph, which fixes the edge order as well as the
+# graph; covers at n = 1, even and odd n
+PINNED_GRAPHS = [
+    (sample_permutation_model, (9, 4, 1),
+     "7511487a38ea1772446f93a78303ffb2dec038d062b8efc13552879b41b9bc67"),
+    (sample_permutation_model, (8, 6, 2),
+     "1fd68f2120bd134418e13ad2b838b30e587b0b01ad5c0436e81b5240cfe138c5"),
+    (sample_single_cycle_model, (9, 4, 3),
+     "fdf5ad2a7df0e918e813795c705020bdc5fe115c3446cad6259ec6cab6517b6f"),
+    (sample_single_cycle_model, (6, 6, 4),
+     "de64f72a25ce6831d6a74f9a9110a7629e750c6e9ba9e05b7e668c81a6eb0931"),
+    (sample_matching_model, (10, 3, 5),
+     "1e34e390733be9e3de2b3b7fc6aa943718f605a041faadb52902dba25cf5a71f"),
+    (sample_matching_model, (8, 5, 6),
+     "1a441a0615c5bf7c391e1f7aadd78b02aef1a032fd13ea66b65808c43bb2dcb2"),
+    (_cover_total, ("K4", 1, 7),
+     "e1c0b0da95f5a4b6b5b11f233038fcb7f7b0c26202cfd3bcc3555a7169772b39"),
+    (_cover_total, ("K4", 4, 7),
+     "f85a6a8ab1bb806b075f79032ad8f5f9a41b73e6b9fb4cfb9195363210fc8563"),
+    (_cover_total, ("K4", 5, 7),
+     "924cbaabc720b1ffb269d828cd7766e2be23b35226c7619e9ac499f97ae6e053"),
+    (_cover_total, ("Petersen", 1, 7),
+     "86685bd93ea0095896755e34b9714ee5167219f8df8f80af8b3cd2016629737c"),
+    (_cover_total, ("Petersen", 4, 7),
+     "2bd2ef54ef1c5809e4a2754def6fcb2f7764e07f291f8f7e08f872da4964ee31"),
+    (_cover_total, ("Petersen", 5, 7),
+     "7ecfe1b9ccb1eae3d40221378193fa1eab63a6c15db28d53f8611c0ff6965378"),
+    (_cover_total, ("bouquet(2,0)", 1, 7),
+     "9b9cbf62d669a2141ef8fc73c2bf9c3f3a117f5d21793b7f5787dbf6392b97bc"),
+    (_cover_total, ("bouquet(2,0)", 4, 7),
+     "a9e50aa77debb95edfb32d27e54121bd935f0722abc48015cc30f64b0a8a0b36"),
+    (_cover_total, ("bouquet(2,0)", 5, 7),
+     "7a414e3edf136e6f0c2467c5c48680f27b1cc737c189b92d318a731f150a47e1"),
+    (_cover_total, ("bouquet(0,3)", 1, 7),
+     "d4cd36223443efc827e6b049e8e04ecb06718a98dd17e3f68afdb17bc1592749"),
+    (_cover_total, ("bouquet(0,3)", 4, 7),
+     "6b4f0d9b8528137c9550cfb8db9cc5011a692636b40381915a0b633661663601"),
+    (_cover_total, ("bouquet(0,3)", 5, 7),
+     "8d73a15bdba951beaa1b0fb5a6929a298be5bfe6b79acdcf535d9857600c5a3b"),
+    (_cover_total, ("bouquet(1,1)", 1, 7),
+     "741ed8a45c8a734cf5a80d2c4b8f34cc2bfa610f8b322dcda23b39b11626536e"),
+    (_cover_total, ("bouquet(1,1)", 4, 7),
+     "d004f66490b2566dd3a403d29fb4fc56d955fe6e23afff8f14772d6b70b0bae5"),
+    (_cover_total, ("bouquet(1,1)", 5, 7),
+     "90c5391534dc8949a114121b2ebd9e87a3e1670b22f026eb36fbcab1b21e5222"),
+    (build_bouquet, (0, 0),
+     "bd14a5676e9eb66c41cf05bd161e9ec1c0ecde7fb068c8a7ad3b9121a3fc1067"),
+    (build_bouquet, (1, 0),
+     "110071c5c46f7ae1d5a10684643e22a9b5b7049be823d324479becdf2dcbccb9"),
+    (build_bouquet, (2, 0),
+     "9b9cbf62d669a2141ef8fc73c2bf9c3f3a117f5d21793b7f5787dbf6392b97bc"),
+    (build_bouquet, (0, 1),
+     "56299dc5ab58c7a1fd9d64c91692e8dbe487331529abb0862d53d4b97063f2ea"),
+    (build_bouquet, (0, 3),
+     "d4cd36223443efc827e6b049e8e04ecb06718a98dd17e3f68afdb17bc1592749"),
+    (build_bouquet, (1, 1),
+     "741ed8a45c8a734cf5a80d2c4b8f34cc2bfa610f8b322dcda23b39b11626536e"),
+    (build_bouquet, (2, 3),
+     "f51175f3905ff5eedd600c154ff0cdd9b2ea4b6d1a394fde9fb01622da5b097c"),
+    (complete_graph, (0,),
+     "a36e14fb9952ccb453e385ae0747474a59b79c1b4d40f41d9e0e33d80ce9d2a1"),
+    (complete_graph, (1,),
+     "bd14a5676e9eb66c41cf05bd161e9ec1c0ecde7fb068c8a7ad3b9121a3fc1067"),
+    (complete_graph, (2,),
+     "b95be4076990819a13f726382839fa053bb9fbd694d7e2fa5d8a49f2592aa436"),
+    (complete_graph, (3,),
+     "fb540537b32a07610f0ace8b4cdefcca0245600761aad5cc6cfc479a88b49d9f"),
+    (complete_graph, (4,),
+     "e1c0b0da95f5a4b6b5b11f233038fcb7f7b0c26202cfd3bcc3555a7169772b39"),
+    (complete_graph, (5,),
+     "04ac625418f3983bf9b6765e2e66b840be7c4d0a4a48c120134172308968d932"),
+    (petersen_graph, (),
+     "86685bd93ea0095896755e34b9714ee5167219f8df8f80af8b3cd2016629737c"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, args, digest", PINNED_GRAPHS,
+    ids=[f"{b.__name__}{a}" for b, a, _ in PINNED_GRAPHS],
+)
+def test_graph_builders_pinned(build, args, digest):
+    text = serialize_graph(build(*args))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _assert_frozen_arrays(g):
+    for arr in (g.tails, g.heads, g.involution):
+        assert arr.dtype == np.int64
+        assert arr.flags.c_contiguous
+        assert not arr.flags.writeable
+
+
+def test_graph_arrays_are_frozen_contiguous_int64():
+    pairs = [(0, 1), (1, 0), (1, 2), (2, 1), (2, 2)]
+    inv = [1, 0, 3, 2, 4]
+    edges = np.array(pairs, dtype=np.int64)
+    for g in (build_graph(3, pairs, inv), build_graph(3, edges, inv)):
+        _assert_frozen_arrays(g)
+    # the Graph owns its arrays: the caller's stay writable and unshared
+    inv_array = np.array(inv, dtype=np.int64)
+    g = build_graph(3, edges, inv_array)
+    assert edges.flags.writeable and inv_array.flags.writeable
+    assert not np.shares_memory(g.tails, edges)
+    assert not np.shares_memory(g.involution, inv_array)
+    for build, args, _ in PINNED_GRAPHS:
+        _assert_frozen_arrays(build(*args))
+
+
+def test_build_rejects_edges_that_are_not_pairs():
+    with pytest.raises(ValueError):
+        build_graph(2, [0, 1, 1, 0], [1, 0])  # flat, never reshaped
+    with pytest.raises(ValueError):
+        build_graph(2, [(0, 1, 0), (1, 0, 1)], [1, 0])
+    with pytest.raises(ValueError):
+        build_graph(2, np.zeros((2, 2, 1), dtype=np.int64), [1, 0])

@@ -20,6 +20,7 @@ from nbzeta import (
     hashimoto_char_poly,
     integrate_circle,
     minus_zeta_log_derivative,
+    sample_permutation_model,
     verify_ihara,
 )
 from nbzeta import polys
@@ -294,6 +295,29 @@ def test_contour_near_pole_raises():
     eps_on_pole = 1 - 0.5 * np.sqrt(2)  # left side exactly at u = 1/2
     with pytest.raises(NearContourPole):
         contour_pole_count(g, ContourSpec(eps=eps_on_pole, delta=0.05, sign=+1))
+
+
+def test_contour_default_clearance_never_answers_wrong():
+    # with the default arguments a count is right to 1e-6 or refused; an
+    # absolute clearance of 1e-9 let poles within a few quadrature steps of
+    # a side through with errors up to 5e-2
+    specs = [
+        ContourSpec(0.2, 0.3, +1, 512),
+        ContourSpec(0.2, 0.05, +1, 512),
+        ContourSpec(0.35, 0.02, -1, 512),
+    ]
+    counted = 0
+    for n in (16, 24, 32):
+        for seed in range(60):
+            g = sample_permutation_model(n, 4, seed)
+            for spec in specs:
+                try:
+                    cc = contour_pole_count(g, spec)
+                except NearContourPole:
+                    continue
+                assert abs(cc.numeric - cc.exact) <= 1e-6, (n, seed, spec, cc)
+                counted += 1
+    assert counted >= 500
 
 
 def test_cp0_report_values():
