@@ -16,7 +16,7 @@ from nbzeta import (
 )
 from nbzeta.graphs import degrees, regularity
 from nbzeta.models import validate_cover
-from nbzeta.rng import SeedStream, derive_seed, splitmix64
+from nbzeta.rng import SeedStream, _words, derive_seed, splitmix64
 
 
 def test_splitmix_determinism():
@@ -34,6 +34,97 @@ def test_stream_shuffle_is_unbiased_smoke():
     freqs = [c / 6000 for c in counts.values()]
     assert len(counts) == 6
     assert all(abs(f - 1 / 6) < 0.03 for f in freqs)
+
+
+def test_splitmix_known_answers():
+    # the reference outputs of Vigna's splitmix64.c seeded with 0
+    expected = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    stream = SeedStream(0)
+    assert [stream.next64() for _ in range(3)] == expected
+    assert _words(0, 3).tolist() == expected
+
+
+# The scalar draws, word by word through next64/randbelow: the reference
+# the vectorized SeedStream must match bit for bit.
+def _ref_permutation(stream, n):
+    items = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = stream.randbelow(i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+def _ref_single_cycle(stream, n):
+    order = _ref_permutation(stream, n)
+    pi = [0] * n
+    for i in range(n):
+        pi[order[i]] = order[(i + 1) % n]
+    return pi
+
+
+def _ref_perfect_matching(stream, n):
+    order = _ref_permutation(stream, n)
+    pi = [0] * n
+    for i in range(0, n, 2):
+        a, b = order[i], order[i + 1]
+        pi[a], pi[b] = b, a
+    return pi
+
+
+def _ref_near_perfect_matching(stream, n):
+    order = _ref_permutation(stream, n)
+    pi = [0] * n
+    pi[order[0]] = order[0]
+    for i in range(1, n, 2):
+        a, b = order[i], order[i + 1]
+        pi[a], pi[b] = b, a
+    return pi
+
+
+@pytest.mark.parametrize("method, reference, sizes", [
+    ("permutation", _ref_permutation, (0, 1, 2, 3, 7, 100, 10_000)),
+    ("single_cycle", _ref_single_cycle, (0, 1, 2, 3, 7, 100, 10_000)),
+    ("perfect_matching", _ref_perfect_matching, (0, 2, 100, 10_000)),
+    ("near_perfect_matching", _ref_near_perfect_matching, (1, 3, 7, 101, 10_001)),
+])
+def test_stream_draws_match_scalar_reference(method, reference, sizes):
+    for n in sizes:
+        for i in range(20):
+            seed = derive_seed(2024, i)
+            fast, slow = SeedStream(seed), SeedStream(seed)
+            assert getattr(fast, method)(n) == reference(slow, n)
+            assert fast.next64() == slow.next64()
+
+
+def test_bulk_randbelow_matches_scalar_under_rejection():
+    # bounds just above 2**63 reject about half of all words, so the bulk
+    # draw resumes many times per call
+    for i in range(50):
+        seed = derive_seed(11, i)
+        bounds = [(1 << 63) + splitmix64(seed + k) % (1 << 62) + 1 for k in range(40)]
+        fast, slow = SeedStream(seed), SeedStream(seed)
+        got = fast._randbelow_array(np.array(bounds, dtype=np.uint64)).tolist()
+        assert got == [slow.randbelow(b) for b in bounds]
+        assert fast.next64() == slow.next64()
+
+
+def test_randbelow_rejects_bound_above_2_pow_64():
+    with pytest.raises(ValueError):
+        SeedStream(1).randbelow((1 << 64) + 1)
+    assert 0 <= SeedStream(1).randbelow(1 << 64) < 1 << 64
+
+
+@pytest.mark.parametrize("method, n", [
+    ("perfect_matching", 7),
+    ("near_perfect_matching", 8),
+    ("permutation", -1),
+])
+def test_stream_rejects_bad_sizes(method, n):
+    stream = SeedStream(3)
+    with pytest.raises(ValueError):
+        getattr(stream, method)(n)
+    # nothing was drawn
+    assert stream.next64() == SeedStream(3).next64()
 
 
 def test_perm_model_params():
