@@ -14,10 +14,8 @@ from .errors import (
     NearPole,
     ParseError,
     TooLarge,
-    UnmatchedOldEigenvalue,
 )
 from .graphs import (
-    DirectedGraph,
     Graph,
     GraphCounts,
     adjacency_matrix,

@@ -22,7 +22,7 @@ from .census import (
     section8_table,
     summary_fields,
 )
-from .errors import NbzetaError
+from .errors import InvalidParams, NbzetaError
 from .graphs import parse_graph
 from .spectra import (
     adjacency_spectrum,
@@ -43,6 +43,26 @@ from .zeta import (
 def _read_graph(path):
     with open(path) as fh:
         return parse_graph(fh.read())
+
+
+_SIGNS = {"+": +1, "+1": +1, "plus": +1, "-": -1, "-1": -1, "minus": -1}
+
+
+def _contour_spec(text):
+    """argparse type of --contour: eps,delta,sign,points."""
+    try:
+        eps, delta, sign, points = (f.strip() for f in text.split(","))
+        spec = ContourSpec(float(eps), float(delta), _SIGNS[sign], int(points))
+    except (ValueError, KeyError):
+        spec = None
+    if spec is None or not all(
+        v > 0 for v in (spec.eps, spec.delta, spec.quadrature_points)
+    ):
+        raise argparse.ArgumentTypeError(
+            "expected eps,delta,sign,points: eps, delta and points positive, "
+            f"sign one of {' '.join(_SIGNS)}"
+        )
+    return spec
 
 
 def _cmd_census(args):
@@ -98,14 +118,7 @@ def _cmd_zeta(args):
         series = essential_log_derivative_coeffs(g, args.series_K)
         out["series"] = [str(c) for c in series.coefficients]
     if args.contour:
-        eps, delta, sign, points = args.contour.split(",")
-        spec = ContourSpec(
-            eps=float(eps),
-            delta=float(delta),
-            sign=+1 if sign.strip() in ("+", "+1", "plus") else -1,
-            quadrature_points=int(points),
-        )
-        cc = contour_pole_count(g, spec)
+        cc = contour_pole_count(g, args.contour)
         out["contour"] = {
             "numeric_real": cc.numeric.real,
             "numeric_imag": cc.numeric.imag,
@@ -117,6 +130,8 @@ def _cmd_zeta(args):
 
 def _cmd_traces(args):
     if args.exact:
+        if args.model != "perm":
+            raise InvalidParams("--exact enumerates the perm model only")
         value = exact_expected_trace_small(args.n, args.d, args.k)
         print(json.dumps({"exact_mean": str(value)}))
         return 0
@@ -185,7 +200,8 @@ def build_parser():
     z.add_argument("--graph", required=True)
     z.add_argument("--check-ihara", action="store_true")
     z.add_argument("--series-K", type=int, default=None)
-    z.add_argument("--contour", help="eps,delta,sign,points")
+    z.add_argument("--contour", type=_contour_spec,
+                   help="eps,delta,sign,points (sign: + or -)")
     z.set_defaults(func=_cmd_zeta)
 
     t = sub.add_parser("traces", help="expected non-backtracking traces")

@@ -56,9 +56,5 @@ class FactorizationBreakdown(NbzetaError):
     """Symmetric factorization kept hitting near-zero pivots after retries."""
 
 
-class UnmatchedOldEigenvalue(NbzetaError):
-    """A base-graph eigenvalue found no close partner in the cover spectrum."""
-
-
 class IllConditioned(NbzetaError):
     """Least-squares design is rank deficient or too narrow to fit."""

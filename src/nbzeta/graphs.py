@@ -41,19 +41,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class DirectedGraph:
-    """Directed graph without an involution (for line graphs)."""
-
-    vertex_count: int
-    tails: np.ndarray
-    heads: np.ndarray
-
-    @property
-    def directed_edge_count(self):
-        return len(self.tails)
-
-
-@dataclass(frozen=True)
 class GraphCounts:
     vertices: int
     undirected_edges: int
@@ -165,8 +152,9 @@ def adjacency_sparse(g, dtype=float):
 
 
 def directed_line_graph(g):
-    """Vertices are directed edges of g; (e1, e2) present iff the walk
-    e1 then e2 is non-backtracking: head(e1) == tail(e2) and e2 != inv(e1)."""
+    """(tails, heads) of the directed line graph, whose vertices are the
+    directed edges of g: (e1, e2) is an edge iff the walk e1 then e2 is
+    non-backtracking, head(e1) == tail(e2) and e2 != inv(e1)."""
     m = g.directed_edge_count
     by_tail = [[] for _ in range(g.vertex_count)]
     for e in range(m):
@@ -179,25 +167,23 @@ def directed_line_graph(g):
             if e2 != banned:
                 tails.append(e1)
                 heads.append(e2)
-    return DirectedGraph(
-        m, np.asarray(tails, dtype=np.int64), np.asarray(heads, dtype=np.int64)
-    )
+    return np.asarray(tails, dtype=np.int64), np.asarray(heads, dtype=np.int64)
 
 
 def hashimoto_matrix(g):
     """Dense 0/1 adjacency matrix of the directed line graph."""
-    lg = directed_line_graph(g)
+    tails, heads = directed_line_graph(g)
     m = g.directed_edge_count
     H = np.zeros((m, m), dtype=np.int64)
-    H[lg.tails, lg.heads] = 1
+    H[tails, heads] = 1
     return H
 
 
 def hashimoto_sparse(g):
-    lg = directed_line_graph(g)
+    tails, heads = directed_line_graph(g)
     m = g.directed_edge_count
-    data = np.ones(lg.directed_edge_count, dtype=np.int64)
-    return sp.csr_matrix((data, (lg.tails, lg.heads)), shape=(m, m))
+    data = np.ones(len(tails), dtype=np.int64)
+    return sp.csr_matrix((data, (tails, heads)), shape=(m, m))
 
 
 def serialize_graph(g):

@@ -9,6 +9,10 @@ supported: the dense path counts through the inertia of a shifted LDL^T
 factorization; the sparse path walks down the top of the spectrum with an
 iterative extremal eigensolver, since symmetric factorization of expander
 adjacencies fills in catastrophically.
+
+The new spectra of a cover (the total's less the base's) come from fibre
+projection onto the invariant subspace of vectors summing to zero on every
+fibre, with no eigenvalue matched against another.
 """
 
 from dataclasses import dataclass, field
@@ -17,12 +21,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .errors import (
-    FactorizationBreakdown,
-    MethodUnsupported,
-    TooLarge,
-    UnmatchedOldEigenvalue,
-)
+from .errors import FactorizationBreakdown, MethodUnsupported, TooLarge
 from .graphs import (
     adjacency_matrix,
     adjacency_sparse,
@@ -190,33 +189,35 @@ def hashimoto_spectrum(g, limit=DENSE_EIG_LIMIT):
     """
     d = regularity(g)
     if d is not None:
-        return _ihara_roots(g, d, adjacency_spectrum(g, limit=limit))
+        return _ihara_roots(adjacency_spectrum(g, limit=limit), d, *_loop_counts(g))
     m = g.directed_edge_count
     if m > limit:
         raise TooLarge(f"dense Hashimoto eigensolve limited to {limit} edges")
-    if m == 0:
-        return np.array([], dtype=complex)
-    return np.linalg.eigvals(hashimoto_matrix(g).astype(float))
+    return np.linalg.eigvals(hashimoto_matrix(g).astype(float)).astype(complex)
 
 
-def _ihara_roots(g, d, lam):
+def _loop_counts(g):
+    """(half-loops, pairs - vertices): the counts _ihara_roots takes."""
+    counts = graph_counts(g)
+    return counts.half_loops, counts.pairs - counts.vertices
+
+
+def _ihara_roots(lam, d, half, extra):
     """Hashimoto spectrum of a d-regular graph from its adjacency spectrum
     lam: the roots of mu^2 - lambda*mu + (d-1) per adjacency eigenvalue,
-    -1 per half-loop, and +-1 with multiplicity |pair| - |V| (a negative
-    multiplicity cancels against matching quadratic roots)."""
-    counts = graph_counts(g)
+    then +1 with signed multiplicity extra and -1 with signed multiplicity
+    half + extra.  A negative multiplicity -k removes the k roots nearest
+    the value; for a single graph extra is |pair| - |V|, and for the new
+    spectrum of a cover both counts are differences, total minus base."""
     s = np.sqrt((lam * lam - 4 * (d - 1)).astype(complex))
     roots = np.column_stack([(lam + s) / 2, (lam - s) / 2]).ravel()
-    extra = counts.pairs - counts.vertices
-    vals = np.concatenate([
-        roots,
-        [-1.0] * counts.half_loops,
-        [1.0] * max(extra, 0),
-        [-1.0] * max(extra, 0),
-    ]).astype(complex)
-    if extra < 0:
-        vals = _multiset_difference(vals, [1.0] * -extra + [-1.0] * -extra)
-    return np.asarray(vals, dtype=complex)
+    for value, k in ((1.0, extra), (-1.0, half + extra)):
+        if k >= 0:
+            roots = np.concatenate([roots, np.full(k, value)])
+        else:
+            nearest = np.argpartition(np.abs(roots - value), -k - 1)[:-k]
+            roots = np.delete(roots, nearest)
+    return roots.astype(complex)
 
 
 def spectrum_report(g, limit=DENSE_EIG_LIMIT):
@@ -224,9 +225,8 @@ def spectrum_report(g, limit=DENSE_EIG_LIMIT):
     if d is None:
         raise MethodUnsupported("spectrum reports need a regular graph")
     adj = adjacency_spectrum(g, limit=limit)
-    return SpectrumReport(
-        adjacency_eigenvalues=adj, hashimoto_eigenvalues=_ihara_roots(g, d, adj), d=d
-    )
+    mu = _ihara_roots(adj, d, *_loop_counts(g))
+    return SpectrumReport(adjacency_eigenvalues=adj, hashimoto_eigenvalues=mu, d=d)
 
 
 def classify_non_ramanujan(report, real_tol=None, special_tol=None):
@@ -297,35 +297,39 @@ def is_epsilon_spectral(report, eps, real_tol=None, special_tol=None):
     return True
 
 
-def _multiset_difference(total, base, tol_scale=1e-6):
-    """Greedy nearest-match removal of base values from total."""
-    rem = list(total)
-    for b in base:
-        best, best_dist = None, None
-        for i, v in enumerate(rem):
-            dist = abs(v - b)
-            if best is None or dist < best_dist:
-                best, best_dist = i, dist
-        tol = tol_scale * max(1.0, abs(b))
-        if best is None or best_dist > tol:
-            raise UnmatchedOldEigenvalue(
-                f"base eigenvalue {b} has no partner within {tol}"
-            )
-        rem.pop(best)
-    return rem
+def _fibre_sum_zero_basis(fibre_of, size):
+    """Orthonormal columns spanning the vectors that sum to zero on every
+    fibre; coordinate i lies in fibre fibre_of[i], of `size` coordinates."""
+    block = np.kron(np.eye(len(fibre_of) // size), sla.null_space(np.ones((1, size))))
+    Q = np.empty_like(block)
+    Q[np.argsort(fibre_of, kind="stable")] = block
+    return Q
 
 
 def new_spectra(c, limit=DENSE_EIG_LIMIT):
-    """(new adjacency, new Hashimoto) spectra of a covering map, as the
-    multiset differences total-minus-base."""
-    adj_t = adjacency_spectrum(c.total, limit=limit)
-    adj_b = adjacency_spectrum(c.base, limit=limit)
-    new_adj = np.asarray(
-        sorted(_multiset_difference(adj_t, adj_b), reverse=True)
-    )
-    hsh_t = hashimoto_spectrum(c.total, limit=limit)
-    hsh_b = hashimoto_spectrum(c.base, limit=limit)
-    new_hsh = np.asarray(
-        _multiset_difference(list(hsh_t), list(hsh_b)), dtype=complex
-    )
-    return new_adj, new_hsh
+    """(new adjacency, new Hashimoto) spectra of a covering map: the total
+    graph's spectra with the base's removed.
+
+    The vectors summing to zero on every vertex fibre are the orthogonal
+    complement of the fibre-constant ones, which carry the base spectrum;
+    both are A-invariant, so the new adjacency spectrum is that of Q^T A Q
+    for an orthonormal basis Q.  A regular base takes the Ihara map of it,
+    with the +-1 multiplicities of total minus base.  Otherwise: the fibre
+    sum pi over edge fibres has pi H = H_base pi, so its kernel, the edge
+    vectors summing to zero on every edge fibre, is H-invariant and H acts
+    as H_base on the quotient; the new spectrum is that of Q_E^T H Q_E.
+    """
+    total, base, n = c.total, c.base, c.degree
+    if total.vertex_count > limit:
+        raise TooLarge(f"dense eigensolve limited to {limit} vertices")
+    Q = _fibre_sum_zero_basis(c.vertex_map, n)
+    new_adj = np.linalg.eigvalsh(Q.T @ adjacency_matrix(total) @ Q)[::-1]
+    d = regularity(base)
+    if d is not None:
+        half, extra = np.subtract(_loop_counts(total), _loop_counts(base))
+        return new_adj, _ihara_roots(new_adj, d, half, extra)
+    if total.directed_edge_count > limit:
+        raise TooLarge(f"dense Hashimoto eigensolve limited to {limit} edges")
+    Q = _fibre_sum_zero_basis(c.edge_map, n)
+    new_hsh = np.linalg.eigvals(Q.T @ hashimoto_matrix(total) @ Q)
+    return new_adj, new_hsh.astype(complex)

@@ -178,9 +178,9 @@ def count_closed_nb_walks(g, k):
     m = g.directed_edge_count
     if m > 64 or k > 8:
         raise TooLarge("walk enumeration oracle limited to 64 edges, k <= 8")
-    lg = directed_line_graph(g)
+    tails, heads = directed_line_graph(g)
     succ = [[] for _ in range(m)]
-    for t, h in zip(lg.tails.tolist(), lg.heads.tolist()):
+    for t, h in zip(tails.tolist(), heads.tolist()):
         succ[t].append(h)
     total = 0
     for start in range(m):

@@ -267,12 +267,7 @@ class RationalRemainder:
 
     def __call__(self, u):
         n, d = self.n, self.d
-        if isinstance(u, (int, Fraction)):
-            u = Fraction(u)
-            a = u / (u * u - 1)
-            b = (d - 1) ** 2 * u / ((d - 1) ** 2 * u * u - 1)
-            return n * (d - 2) * (a - b)
-        u = complex(u)
+        u = Fraction(u) if isinstance(u, (int, Fraction)) else complex(u)
         a = u / (u * u - 1)
         b = (d - 1) ** 2 * u / ((d - 1) ** 2 * u * u - 1)
         return n * (d - 2) * (a - b)

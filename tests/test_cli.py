@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from nbzeta import build_bouquet, complete_graph, serialize_graph
+from nbzeta import ContourSpec, build_bouquet, complete_graph, serialize_graph
 from nbzeta import census as census_module
-from nbzeta.cli import main
+from nbzeta.cli import build_parser, main
 
 
 def _write_graph(tmp_path, g, name="g.nbg"):
@@ -106,6 +106,28 @@ def test_cli_zeta(tmp_path, capsys):
     assert out["char_poly_u"][0] == "1"
 
 
+@pytest.mark.parametrize("contour", [
+    "0.1,0.1", "0.2,0.05,+,512,1", "0.2,0.05,+,abc", "0.2,abc,+,512",
+    "0.2,0.05,x,512", "0.2,0.05,,512", "0,0.05,+,512", "0.2,0.05,-,0",
+])
+def test_cli_zeta_rejects_bad_contour(tmp_path, capsys, contour):
+    path = _write_graph(tmp_path, complete_graph(4))
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", "--graph", str(path), "--contour", contour])
+    assert exc.value.code == 2
+    assert "argument --contour" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sign, expected", [
+    ("+", 1), ("+1", 1), ("plus", 1), ("-", -1), ("-1", -1), (" minus ", -1),
+])
+def test_cli_zeta_contour_signs(sign, expected):
+    args = build_parser().parse_args(
+        ["zeta", "--graph", "g.nbg", "--contour", f"0.2,0.05,{sign},512"]
+    )
+    assert args.contour == ContourSpec(0.2, 0.05, expected, 512)
+
+
 def test_cli_spectrum(tmp_path, capsys):
     path = _write_graph(tmp_path, complete_graph(4))
     rc = main(["spectrum", "--graph", str(path), "--hashimoto", "--classify"])
@@ -120,6 +142,15 @@ def test_cli_traces_exact(capsys):
     rc = main(["traces", "--n", "2", "--d", "4", "--k", "1", "--exact"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["exact_mean"] == "4"
+
+
+@pytest.mark.parametrize("model", [["--model", "cycle"], ["--model", "match"]])
+def test_cli_traces_exact_rejects_other_models(capsys, model):
+    rc = main(["traces", *model, "--n", "3", "--d", "4", "--k", "2", "--exact"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "perm" in captured.err
 
 
 def test_cli_traces_monte_carlo(capsys):

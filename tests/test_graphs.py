@@ -86,16 +86,20 @@ def test_adjacency_examples():
 
 
 def test_directed_line_graph_examples():
-    lg = directed_line_graph(build_bouquet(0, 3))
-    assert lg.vertex_count == 3 and lg.directed_edge_count == 6
+    # the line graph's vertices are the m directed edges of the graph
+    tails, heads = directed_line_graph(build_bouquet(0, 3))
+    assert len(tails) == len(heads) == 6
+    assert np.all(np.bincount(tails, minlength=3) == 2)
+    assert np.all(np.bincount(heads, minlength=3) == 2)
 
-    lg = directed_line_graph(complete_graph(4))
-    assert lg.vertex_count == 12
-    out_deg = np.bincount(lg.tails, minlength=12)
-    assert np.all(out_deg == 2)
+    tails, heads = directed_line_graph(complete_graph(4))
+    assert len(tails) == len(heads) == 24
+    out_deg = np.bincount(tails, minlength=12)
+    assert len(out_deg) == 12 and np.all(out_deg == 2)
+    assert heads.min() >= 0 and heads.max() < 12
 
-    lg = directed_line_graph(build_graph(1, [(0, 0)], [0]))
-    assert lg.vertex_count == 1 and lg.directed_edge_count == 0
+    tails, heads = directed_line_graph(build_graph(1, [(0, 0)], [0]))
+    assert len(tails) == len(heads) == 0
 
 
 def test_hashimoto_examples():

@@ -262,7 +262,91 @@ def test_only_irregular_graphs_build_hashimoto(monkeypatch, witness_graph):
     assert built == []
     cover = sample_cover(_k4_minus_edge(), 3, seed=5)
     new_spectra(cover)
-    assert built == [cover.total, cover.base]
+    assert built == [cover.total]
+
+
+def _multiset_difference(total, base, tol_scale=1e-6):
+    """Greedy nearest-match removal of base values from total: the new
+    spectrum of a cover as it was computed before fibre projection."""
+    rem = list(total)
+    for b in base:
+        dist = [abs(v - b) for v in rem]
+        best = int(np.argmin(dist))
+        assert dist[best] <= tol_scale * max(1.0, abs(b)), f"{b} unmatched"
+        rem.pop(best)
+    return rem
+
+
+def _greedy_new_spectra(c):
+    new_adj = sorted(
+        _multiset_difference(adjacency_spectrum(c.total), adjacency_spectrum(c.base)),
+        reverse=True,
+    )
+    new_hsh = _multiset_difference(
+        hashimoto_spectrum(c.total), hashimoto_spectrum(c.base)
+    )
+    return np.asarray(new_adj), np.asarray(new_hsh, dtype=complex)
+
+
+def _cover_bases():
+    return [complete_graph(4), petersen_graph(), build_bouquet(2, 0),
+            build_bouquet(0, 3), build_bouquet(1, 1), build_bouquet(0, 1),
+            _k4_minus_edge()]
+
+
+def test_new_spectra_matches_greedy_matching():
+    # bouquet(0, 3) at even n loses all three half-loops (-1 multiplicity
+    # below zero); bouquet(0, 1) is 1-regular; K4 minus an edge is irregular
+    checked = 0
+    for base in _cover_bases():
+        for n in (1, 2, 3, 4, 5, 7):
+            for seed in range(3):
+                cover = sample_cover(base, n, seed)
+                new_adj, new_hsh = new_spectra(cover)
+                ref_adj, ref_hsh = _greedy_new_spectra(cover)
+                assert len(new_adj) == len(ref_adj) == (n - 1) * base.vertex_count
+                assert np.all(np.diff(new_adj) <= 0)
+                assert np.allclose(new_adj, ref_adj, rtol=0, atol=1e-9)
+                assert len(new_hsh) == (n - 1) * base.directed_edge_count
+                assert _match_multisets(new_hsh, ref_hsh, tol=1e-9)
+                checked += 1
+    assert checked == 126
+
+
+def _relabel(cover, seed):
+    """The same covering map with its total vertices and directed edges
+    renamed by random permutations, so fibres are no longer contiguous."""
+    from nbzeta.models import CoveringMap, validate_cover
+
+    rng = np.random.default_rng(seed)
+    total = cover.total
+    p = rng.permutation(total.vertex_count)  # vertex v becomes p[v]
+    q = rng.permutation(total.directed_edge_count)  # edge e becomes q[e]
+    edges = np.empty((len(q), 2), dtype=np.int64)
+    edges[q] = np.stack([p[total.tails], p[total.heads]], axis=-1)
+    inv = np.empty_like(q)
+    inv[q] = q[total.involution]
+    vertex_map = np.empty_like(cover.vertex_map)
+    vertex_map[p] = cover.vertex_map
+    edge_map = np.empty_like(cover.edge_map)
+    edge_map[q] = cover.edge_map
+    relabelled = CoveringMap(
+        base=cover.base, total=build_graph(total.vertex_count, edges, inv),
+        vertex_map=vertex_map, edge_map=edge_map, degree=cover.degree,
+    )
+    assert validate_cover(relabelled)
+    assert np.any(np.diff(edge_map) < 0)
+    assert cover.base.vertex_count == 1 or np.any(np.diff(vertex_map) < 0)
+    return relabelled
+
+
+def test_new_spectra_fibres_need_not_be_contiguous():
+    for base in (complete_graph(4), build_bouquet(0, 3), _k4_minus_edge()):
+        cover = sample_cover(base, 4, seed=2)
+        adj, hsh = new_spectra(cover)
+        relabelled_adj, relabelled_hsh = new_spectra(_relabel(cover, seed=7))
+        assert np.allclose(adj, relabelled_adj, rtol=0, atol=1e-9)
+        assert _match_multisets(hsh, relabelled_hsh, tol=1e-9)
 
 
 def test_new_spectra_trace_identity():
