@@ -14,6 +14,7 @@ from .errors import (
     NearPole,
     ParseError,
     TooLarge,
+    UncertainCount,
 )
 from .graphs import (
     Graph,

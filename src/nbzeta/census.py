@@ -8,8 +8,13 @@ spectrum, the total spectrum less the base's (a sub-multiset, since
 functions constant on fibres are invariant under A): its count is the
 total graph's count minus the base's.  Every model takes one route: a
 dense eigensolve up to DENSE_EIG_LIMIT vertices, seeded Lanczos above it.
-Reruns with the same config are byte-identical and longer runs extend
-shorter ones record for record.
+A Lanczos count is certified by residual bands (see
+spectra.top_adjacency_eigenvalues); lambda1 and lambda2 are then Ritz
+values, accurate to the solver tolerance that certified the count.  A
+sample whose count cannot be certified raises UncertainCount and is
+recorded as a failure with its reason, never counted.  Reruns with the
+same config are byte-identical and longer runs extend shorter ones record
+for record.
 """
 
 import csv

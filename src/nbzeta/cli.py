@@ -45,6 +45,17 @@ def _read_graph(path):
         return parse_graph(fh.read())
 
 
+def _nonnegative_int(text):
+    """argparse type of counts that may be zero (--k, --series-K)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 _SIGNS = {"+": +1, "+1": +1, "plus": +1, "-": -1, "-1": -1, "minus": -1}
 
 
@@ -199,7 +210,7 @@ def build_parser():
     z = sub.add_parser("zeta", help="zeta data for a graph file")
     z.add_argument("--graph", required=True)
     z.add_argument("--check-ihara", action="store_true")
-    z.add_argument("--series-K", type=int, default=None)
+    z.add_argument("--series-K", type=_nonnegative_int, default=None)
     z.add_argument("--contour", type=_contour_spec,
                    help="eps,delta,sign,points (sign: + or -)")
     z.set_defaults(func=_cmd_zeta)
@@ -208,7 +219,7 @@ def build_parser():
     t.add_argument("--model", default="perm", choices=["perm", "cycle", "match"])
     t.add_argument("--n", type=int, required=True)
     t.add_argument("--d", type=int, default=4)
-    t.add_argument("--k", type=int, required=True)
+    t.add_argument("--k", type=_nonnegative_int, required=True)
     t.add_argument("--samples", type=int, default=1000)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--exact", action="store_true",
@@ -227,7 +238,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NbzetaError as exc:
+    except (NbzetaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -56,5 +56,23 @@ class FactorizationBreakdown(NbzetaError):
     """Symmetric factorization kept hitting near-zero pivots after retries."""
 
 
+class UncertainCount(NbzetaError):
+    """A Ritz value's residual band still contains the counting threshold
+    at the tightest solver tolerance; carries theta, the band half-width
+    (residual) and the threshold, which are also its args."""
+
+    def __init__(self, theta, residual, threshold):
+        super().__init__(theta, residual, threshold)
+        self.theta = theta
+        self.residual = residual
+        self.threshold = threshold
+
+    def __str__(self):
+        return (
+            f"Ritz value {self.theta!r} +- {self.residual:.3g} contains "
+            f"threshold {self.threshold!r}"
+        )
+
+
 class IllConditioned(NbzetaError):
     """Least-squares design is rank deficient or too narrow to fit."""

@@ -6,9 +6,14 @@ there the limit bounds the vertex count n; only irregular graphs take a
 dense eigensolve of the m x m Hashimoto matrix, and there it bounds the
 directed edge count m.  Beyond the limit only counting queries are
 supported: the dense path counts through the inertia of a shifted LDL^T
-factorization; the sparse path walks down the top of the spectrum with an
-iterative extremal eigensolver, since symmetric factorization of expander
-adjacencies fills in catastrophically.
+factorization; the sparse path walks down the top of the spectrum with
+seeded Lanczos (ARPACK), since symmetric factorization of expander
+adjacencies fills in catastrophically.  A Lanczos count is certified by
+residuals: for symmetric A each Ritz pair (theta, x) has an eigenvalue
+within ||Ax - theta x|| of theta, so the count stands once no such band
+contains the threshold.  The solver tolerance tightens along a short
+ladder (1e-4, 1e-8, 1e-12) until it does; a band still holding the
+threshold at the end raises UncertainCount, never a silent count.
 
 The new spectra of a cover (the total's less the base's) come from fibre
 projection onto the invariant subspace of vectors summing to zero on every
@@ -21,7 +26,12 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .errors import FactorizationBreakdown, MethodUnsupported, TooLarge
+from .errors import (
+    FactorizationBreakdown,
+    MethodUnsupported,
+    TooLarge,
+    UncertainCount,
+)
 from .graphs import (
     adjacency_matrix,
     adjacency_sparse,
@@ -117,47 +127,71 @@ def _inertia_positive_dense(A, shift):
     return pos, zeros
 
 
-def top_adjacency_eigenvalues(g, threshold, tol=1e-8, seed=12345):
-    """Descending top eigenvalues down past `threshold`, iteratively.
+# eigsh tolerances tried in turn until every Ritz value is certified on
+# its side of the threshold
+_LANCZOS_TOLS = (1e-4, 1e-8, 1e-12)
+# rounding allowance added to each residual, in units of the largest |theta|
+_RESIDUAL_ROUNDING = 64 * np.finfo(float).eps
 
-    Walks the top of the spectrum with ARPACK, doubling k until the
-    smallest converged value drops below the threshold.  The Lanczos start
-    vector is seeded so results are reproducible run to run.
+
+def _ritz_pairs(A, k, which, tol, v0):
+    """Descending Ritz values theta of A from eigsh and their residual
+    norms ||Ax - theta x|| / ||x||."""
+    w, X = spla.eigsh(A, k=k, which=which, tol=tol, v0=v0)
+    res = np.linalg.norm(A @ X - X * w, axis=0) / np.linalg.norm(X, axis=0)
+    order = np.argsort(w)[::-1]
+    return w[order], res[order]
+
+
+def top_adjacency_eigenvalues(g, threshold, seed=12345):
+    """Descending top adjacency eigenvalues down past `threshold`, by
+    seeded Lanczos, with the count of those >= threshold certified.
+
+    At each eigsh tolerance in _LANCZOS_TOLS, k doubles from 4 until the
+    smallest Ritz value drops below the threshold (past n - 1 the bottom
+    value is fetched as well).  A is symmetric, so each Ritz pair
+    (theta, x) has an eigenvalue within ||Ax - theta x|| of theta
+    (Parlett).  The values are returned once no such band contains the
+    threshold; otherwise the next, tighter tolerance runs.  If a band still
+    contains it at the last, UncertainCount is raised rather than a count
+    returned.  Residuals cannot reveal an eigenvalue Lanczos missed
+    entirely, such as an unresolved copy of a multiple one.  The start
+    vector is seeded, so results are reproducible run to run.
     """
     A = adjacency_sparse(g)
     n = g.vertex_count
     v0 = np.random.default_rng(seed).standard_normal(n)
-    k = 8
-    while True:
-        k = min(k, n - 1)
-        vals = spla.eigsh(
-            A, k=k, which="LA", return_eigenvectors=False, tol=tol, v0=v0
-        )
-        vals = np.sort(vals)[::-1]
-        if vals[-1] < threshold:
+    k = 4
+    for tol in _LANCZOS_TOLS:
+        while True:
+            k = min(k, n - 1)
+            vals, res = _ritz_pairs(A, k, "LA", tol, v0)
+            if vals[-1] < threshold:
+                break
+            if k >= n - 1:
+                # ARPACK cannot ask for all n; fetch the bottom value so a
+                # threshold below the whole spectrum still counts n, not n-1
+                low, low_res = _ritz_pairs(A, 1, "SA", tol, v0)
+                vals = np.concatenate([vals, low])
+                res = np.concatenate([res, low_res])
+                break
+            k *= 2
+        band = res + _RESIDUAL_ROUNDING * np.max(np.abs(vals))
+        straddling = np.abs(vals - threshold) <= band
+        if not straddling.any():
             return vals
-        if k >= n - 1:
-            # ARPACK cannot ask for all n; fetch the bottom value so a
-            # threshold below the whole spectrum still counts n, not n-1
-            bottom = spla.eigsh(
-                A, k=1, which="SA", return_eigenvectors=False, tol=tol, v0=v0
-            )
-            return np.concatenate([vals, bottom])
-        k *= 2
-
-
-def _count_geq_sparse(g, threshold):
-    vals = top_adjacency_eigenvalues(g, threshold)
-    return int(np.sum(vals >= threshold))
+    i = int(np.argmax(straddling))
+    raise UncertainCount(float(vals[i]), float(band[i]), float(threshold))
 
 
 def count_adjacency_eigenvalues_geq(g, t, tol, limit=DENSE_EIG_LIMIT):
     """Number of adjacency eigenvalues lambda with lambda >= t - tol.
 
-    Dense graphs go through shifted LDL^T inertia; larger graphs through
-    the iterative top-of-spectrum count.  A pivot at the shift means an
-    eigenvalue sits exactly at t - tol; the shift is then nudged down so
-    the count keeps its ">=" meaning.
+    Dense graphs go through shifted LDL^T inertia: a pivot at the shift
+    means an eigenvalue sits exactly at t - tol, and the shift is then
+    nudged down so the count keeps its ">=" meaning.  Larger graphs go
+    through the residual-certified Lanczos walk of
+    top_adjacency_eigenvalues, which raises UncertainCount instead.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
@@ -165,7 +199,7 @@ def count_adjacency_eigenvalues_geq(g, t, tol, limit=DENSE_EIG_LIMIT):
         return 0
     shift = t - tol
     if g.vertex_count > limit:
-        return _count_geq_sparse(g, shift)
+        return int(np.sum(top_adjacency_eigenvalues(g, shift) >= shift))
     A = adjacency_matrix(g).astype(float)
     jitter = max(1e-12, 1e-9 * max(1.0, abs(shift)))
     for attempt in range(4):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -404,3 +405,24 @@ def test_census_failures_are_counted_not_silent(monkeypatch):
     reasons = {"RuntimeError('synthetic per-sample failure')": 1}
     assert res.failure_reasons == reasons
     assert json.loads(aggregate_json(res))["failure_reasons"] == reasons
+
+
+def test_census_records_uncertain_count(monkeypatch):
+    # a threshold exactly at lambda1 = d cannot be certified at any solver
+    # tolerance; each sample's UncertainCount is a recorded failure reason
+    real = census_module.top_adjacency_eigenvalues
+
+    def at_top(g, threshold, seed):
+        return real(g, 4.0, seed=seed)
+
+    monkeypatch.setattr(census_module, "top_adjacency_eigenvalues", at_top)
+    monkeypatch.setattr(census_module, "DENSE_EIG_LIMIT", 64)
+    res = run_census(_cfg(n=100, samples=4))
+    assert res.samples == 0 and res.failures == 4
+    assert sum(res.failure_reasons.values()) == 4
+    for reason in res.failure_reasons:
+        # repr(UncertainCount(theta, residual, threshold))
+        theta, residual, threshold = map(
+            float, re.fullmatch(r"UncertainCount\((.+), (.+), (.+)\)", reason).groups()
+        )
+        assert threshold == 4.0 and abs(theta - 4.0) <= residual

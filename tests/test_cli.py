@@ -187,3 +187,32 @@ def test_cli_error_exit(tmp_path, capsys):
     rc = main(["spectrum", "--graph", str(bad)])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["traces", "--n", "3", "--k", "-1"], "--k"),
+    (["traces", "--n", "3", "--k", "two"], "--k"),
+    (["zeta", "--graph", "g.nbg", "--series-K", "-1"], "--series-K"),
+    (["zeta", "--graph", "g.nbg", "--series-K", "1.5"], "--series-K"),
+])
+def test_cli_rejects_negative_counts(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {option}" in capsys.readouterr().err
+
+
+def test_cli_census_out_in_missing_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    rc = main(["census", "--model", "perm", "--n", "12", "--samples", "2",
+               "--out", str(out)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def test_cli_spectrum_missing_graph_file(tmp_path, capsys):
+    rc = main(["spectrum", "--graph", str(tmp_path / "missing.nbg")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "missing.nbg" in err

@@ -4,6 +4,7 @@ import pytest
 from nbzeta import (
     ContourSpec,
     TooLarge,
+    UncertainCount,
     adjacency_spectrum,
     build_bouquet,
     build_graph,
@@ -14,6 +15,7 @@ from nbzeta import (
     hashimoto_spectrum,
     is_epsilon_spectral,
     new_spectra,
+    parse_graph,
     petersen_graph,
     sample_cover,
     sample_permutation_model,
@@ -24,6 +26,7 @@ from nbzeta import spectra
 from nbzeta.graphs import regularity
 
 from conftest import (
+    DATA_DIR,
     dense_hashimoto_eigenvalues,
     k5_minus_edge_ring,
     random_regular_corpus,
@@ -115,6 +118,62 @@ def test_count_geq_sparse_threshold_below_spectrum():
     # which needs the bottom-of-spectrum fallback in the iterative path
     g = sample_permutation_model(120, 4, seed=6)
     assert count_adjacency_eigenvalues_geq(g, -10.0, 1e-9, limit=50) == 120
+
+
+def _two_perm_halves(half, seed):
+    """Disconnected 4-regular graph of two perm-model samples side by side:
+    lambda = 4 has multiplicity 2."""
+    a = sample_permutation_model(half, 4, seed)
+    b = sample_permutation_model(half, 4, seed + 1)
+    edges = np.concatenate([
+        np.column_stack([a.tails, a.heads]),
+        np.column_stack([b.tails, b.heads]) + half,
+    ])
+    inv = np.concatenate([a.involution, b.involution + a.directed_edge_count])
+    return build_graph(2 * half, edges, inv)
+
+
+LANCZOS_CORPUS = {
+    **{f"perm-{n}-{seed}": (lambda n=n, seed=seed: sample_permutation_model(n, 4, seed))
+       for n in (600, 1000, 2000) for seed in (1, 2)},
+    **{f"cover-{name}-{seed}": (lambda base=base, sheets=sheets, seed=seed:
+                                sample_cover(base(), sheets, seed).total)
+       for name, base, sheets in (("k4", lambda: complete_graph(4), 60),
+                                  ("petersen", petersen_graph, 30))
+       for seed in (3, 4)},
+    **{f"halves-{seed}": (lambda seed=seed: _two_perm_halves(300, seed)) for seed in range(10)},
+    "witness": lambda: parse_graph((DATA_DIR / "nonramanujan_witness.nbg").read_text()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LANCZOS_CORPUS))
+def test_count_geq_lanczos_matches_dense(name):
+    # the sparse path, forced by a limit below n, against LDL inertia
+    g = LANCZOS_CORPUS[name]()
+    d = regularity(g)
+    n = g.vertex_count
+    thresholds = [2 * np.sqrt(d - 1)]
+    if name == "witness":
+        thresholds += [0.0, -2.0 * d]  # deep walks, then the bottom fallback
+    for t in thresholds:
+        tol = 1e-9 * d
+        dense = count_adjacency_eigenvalues_geq(g, t, tol)
+        assert count_adjacency_eigenvalues_geq(g, t, tol, limit=n - 1) == dense
+    if name.startswith("halves"):
+        assert dense >= 2
+
+
+@pytest.mark.parametrize("g", [petersen_graph(), sample_permutation_model(600, 4, 1)],
+                         ids=["petersen", "perm-600"])
+def test_count_geq_lanczos_threshold_at_eigenvalue_is_uncertain(g):
+    # lambda1 = d exactly: no tolerance can move its residual band off t
+    d = regularity(g)
+    assert adjacency_spectrum(g)[1] < d - 1e-6  # connected
+    with pytest.raises(UncertainCount) as exc:
+        count_adjacency_eigenvalues_geq(g, float(d), 0.0, limit=g.vertex_count - 1)
+    err = exc.value
+    assert err.threshold == d
+    assert abs(err.theta - d) <= err.residual < 1e-10
 
 
 def test_hashimoto_spectrum_k4():
