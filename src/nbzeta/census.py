@@ -15,14 +15,22 @@ sample whose count cannot be certified raises UncertainCount and is
 recorded as a failure with its reason, never counted.  Reruns with the
 same config are byte-identical and longer runs extend shorter ones record
 for record.
+
+With workers > 1 the samples run on a persistent process pool: forkserver
+workers with one BLAS thread each, built on the first such census and kept
+for the next ones.  Records, the CSV and progress stay in sample order in
+the calling process.  A forkserver worker re-imports the main script, so a
+script that runs a parallel census needs the `if __name__ == "__main__":`
+guard; and a worker sees the module as imported, so monkeypatches of this
+module's globals reach only workers=1 censuses, which run in-process.
 """
 
 import csv
 import io
 import json
 import math
+import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -182,7 +190,16 @@ def _count(vals, d, mode, tol):
 
 def run_census(config, out_path=None, progress=None):
     """Run the census; optionally stream records to a CSV file as they
-    complete (in sample order) and write an aggregate JSON next to it."""
+    complete (in sample order) and write an aggregate JSON next to it.
+
+    workers=1 runs every sample in this process.  More workers run them in
+    contiguous chunks, one per worker, on the module's persistent process
+    pool (see _process_pool); records, the CSV and progress calls are
+    still in sample order and identical to workers=1.  A script calling
+    this with workers > 1 needs the `if __name__ == "__main__":` guard.  If
+    the pool breaks (a worker died), BrokenProcessPool propagates and the
+    next call builds a fresh pool.
+    """
     base = config.validate()
     d, mode = config.d, config.mode
     tol = config.threshold_tol if config.threshold_tol is not None else 1e-9 * d
@@ -200,21 +217,13 @@ def run_census(config, out_path=None, progress=None):
     if sink is not None:
         writer = csv.writer(sink)
         writer.writerow(_CSV_HEADER)
+    if config.workers > 1:
+        outcomes = _pool_map(tasks, config.workers)
+    else:
+        outcomes = map(_one_sample_safe, tasks)
     try:
-        if config.workers > 1:
-            # samples share no mutable state and map() preserves sample
-            # order for the CSV.  The threads buy little: ARPACK's reverse-
-            # communication loop holds the GIL between matvecs and each
-            # worker's OpenBLAS call starts its own threads, so at 2 vCPUs
-            # the measured census.worker_speedup is 0.84-1.33 on perm
-            # n=10^4 and 0.71-0.84 on 50-sheet covers of K4
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = pool.map(_one_sample_safe, tasks)
-                for rec in results:
-                    _consume(rec, records, reasons, writer, progress)
-        else:
-            for task in tasks:
-                _consume(_one_sample_safe(task), records, reasons, writer, progress)
+        for rec in outcomes:
+            _consume(rec, records, reasons, writer, progress)
     finally:
         if sink is not None:
             sink.close()
@@ -238,6 +247,95 @@ def run_census(config, out_path=None, progress=None):
         with open(str(out_path) + ".json", "w") as fh:
             fh.write(aggregate_json(result))
     return result
+
+
+# The census process pool, built on the first census with workers > 1 and
+# kept across calls: starting one costs about 0.7 s, and a census can be a
+# few samples.  It is rebuilt for another worker count or after it broke.
+_POOL = None
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _process_pool(workers):
+    """The cached pool of `workers` forkserver processes, each with one BLAS
+    thread: ARPACK's reverse-communication loop holds the GIL between
+    matvecs, so samples need processes, and one BLAS thread per process
+    keeps dense eigensolves from oversubscribing the cores.
+
+    numpy and scipy each bundle an OpenBLAS, which reads its thread count
+    from the environment when loaded; the forkserver, and the workers
+    forked from it, start while that environment says 1.  The caller's
+    environment is restored afterwards.
+    """
+    global _POOL
+    if _POOL is not None and _POOL._max_workers == workers:
+        return _POOL
+    _discard_pool()
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        pool = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("forkserver"),
+            initializer=_exit_with_parent,
+        )
+        try:
+            # one task per worker starts them all inside this environment
+            for future in [pool.submit(os.getpid) for _ in range(workers)]:
+                future.result()
+        except BaseException:
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+    _POOL = pool
+    return pool
+
+
+def _exit_with_parent():
+    """Worker initializer: end this worker when the census process dies,
+    even by SIGKILL; a worker would otherwise wait on its task queue for
+    ever, and keep the forkserver alive with it."""
+    import multiprocessing
+    import threading
+
+    parent = multiprocessing.parent_process()
+
+    def watch():
+        parent.join()
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _discard_pool():
+    global _POOL
+    if _POOL is not None:
+        _POOL.shutdown(wait=False, cancel_futures=True)
+        _POOL = None
+
+
+def _pool_map(tasks, workers):
+    """_one_sample_safe over tasks on the cached pool, in sample order, one
+    contiguous chunk per worker.  A broken pool is discarded and its
+    BrokenProcessPool raised, never recorded as per-sample failures."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = _process_pool(workers)
+    try:
+        yield from pool.map(
+            _one_sample_safe, tasks, chunksize=-(-len(tasks) // workers)
+        )
+    except BrokenProcessPool:
+        _discard_pool()
+        raise
 
 
 def _one_sample_safe(task):

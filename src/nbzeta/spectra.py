@@ -160,6 +160,9 @@ def top_adjacency_eigenvalues(g, threshold, seed=12345):
     """
     A = adjacency_sparse(g)
     n = g.vertex_count
+    if n == 1:
+        # ARPACK needs 0 < k < n; the sole eigenvalue is the diagonal entry
+        return A.diagonal()
     v0 = np.random.default_rng(seed).standard_normal(n)
     k = 4
     for tol in _LANCZOS_TOLS:

@@ -1,7 +1,14 @@
 import hashlib
 import json
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +153,119 @@ def test_census_workers_match_serial():
     serial = run_census(_cfg(samples=16, workers=1))
     parallel = run_census(_cfg(samples=16, workers=2))
     assert records_csv(serial) == records_csv(parallel)
+
+
+# the pool tests start at most two worker processes at a time
+POOL_WORKERS = 2
+
+
+def _pool_pids():
+    return sorted(census_module._POOL._processes)
+
+
+def _alive(pid):
+    """pid is running: it exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _wait_dead(pids, timeout=30.0):
+    """The pids still alive after up to `timeout` seconds."""
+    deadline = time.monotonic() + timeout
+    while any(map(_alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return [pid for pid in pids if _alive(pid)]
+
+
+@pytest.mark.parametrize("kw", [
+    dict(model="cover", d=3, n=7, base_graph_text=serialize_graph(complete_graph(4))),
+    dict(model="match", d=3, n=20),
+    dict(model="perm", d=4, n=5000),    # above DENSE_EIG_LIMIT: Lanczos
+], ids=["cover", "match", "perm-lanczos"])
+def test_census_pool_csv_matches_serial(kw, tmp_path):
+    runs = []
+    for workers in (1, POOL_WORKERS):
+        path = tmp_path / f"w{workers}.csv"
+        seen = []
+        res = run_census(
+            CensusConfig(samples=5, master_seed=11, workers=workers, **kw),
+            out_path=path, progress=seen.append,
+        )
+        assert res.failures == 0
+        assert [r.sample for r in seen] == list(range(5))
+        assert seen == res.records
+        runs.append((path.read_bytes(), records_csv(res)))
+    assert runs[0] == runs[1]
+    assert runs[0][0].decode() == runs[0][1]
+
+
+def test_census_pool_is_reused():
+    run_census(_cfg(samples=4, workers=POOL_WORKERS))
+    first = _pool_pids()
+    run_census(_cfg(samples=6, workers=POOL_WORKERS))
+    assert _pool_pids() == first
+    assert len(first) == POOL_WORKERS
+
+
+def test_census_pool_workers_have_one_blas_thread():
+    names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"]
+    census_module._discard_pool()
+    before = [os.getenv(name) for name in names]
+    run_census(_cfg(samples=4, workers=POOL_WORKERS))
+    # a fresh pool was built, and the caller's environment is as it was
+    assert [os.getenv(name) for name in names] == before
+    assert set(census_module._POOL.map(os.getenv, names * 4)) == {"1"}
+
+
+def test_census_broken_pool_raises_then_recovers():
+    run_census(_cfg(samples=4, workers=POOL_WORKERS))
+    victim = _pool_pids()[0]
+    os.kill(victim, signal.SIGKILL)
+    assert _wait_dead([victim]) == []
+    with pytest.raises(BrokenProcessPool):
+        run_census(_cfg(samples=8, workers=POOL_WORKERS))
+    assert census_module._POOL is None
+    parallel = run_census(_cfg(samples=8, workers=POOL_WORKERS))
+    assert victim not in _pool_pids()
+    assert parallel.failures == 0
+    assert records_csv(parallel) == records_csv(run_census(_cfg(samples=8)))
+
+
+POOL_SCRIPT = """\
+import os, signal, sys
+import multiprocessing.forkserver
+from nbzeta import CensusConfig, census, run_census
+
+if __name__ == "__main__":
+    run_census(CensusConfig(model="perm", d=4, n=20, samples=4,
+                            master_seed=1, workers=2))
+    pids = sorted(census._POOL._processes)
+    pids.append(multiprocessing.forkserver._forkserver._forkserver_pid)
+    print(*pids, flush=True)
+    if sys.argv[1] == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+@pytest.mark.parametrize("ending", ["exit", "kill"])
+def test_census_pool_ends_with_its_script(ending, tmp_path):
+    # the workers and the forkserver end with the script, even on SIGKILL
+    script = tmp_path / "census_script.py"
+    script.write_text(POOL_SCRIPT)
+    src = str(Path(census_module.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # the output ends when every process holding the pipe has ended
+    done = subprocess.run(
+        [sys.executable, str(script), ending], env=env,
+        stdout=subprocess.PIPE, text=True, timeout=60,
+    )
+    pids = [int(p) for p in done.stdout.split()]
+    assert len(pids) == POOL_WORKERS + 1
+    assert _wait_dead(pids) == []
 
 
 def test_census_csv_format(tmp_path):

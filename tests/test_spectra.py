@@ -120,6 +120,17 @@ def test_count_geq_sparse_threshold_below_spectrum():
     assert count_adjacency_eigenvalues_geq(g, -10.0, 1e-9, limit=50) == 120
 
 
+@pytest.mark.parametrize("g", [build_bouquet(2, 0), build_bouquet(1, 1)],
+                         ids=["bouquet(2,0)", "bouquet(1,1)"])
+def test_count_geq_sparse_path_one_vertex(g):
+    # one vertex: no Lanczos (ARPACK needs 0 < k < n), the diagonal entry
+    # (4 and 3) is the spectrum; a threshold at that entry counts it
+    for t in (2.0, 3.0, 3.5, 4.0, 4.5):
+        dense = count_adjacency_eigenvalues_geq(g, t, 1e-9)
+        assert count_adjacency_eigenvalues_geq(g, t, 1e-9, limit=0) == dense
+    assert count_adjacency_eigenvalues_geq(g, 3.0, 1e-9, limit=0) == 1
+
+
 def _two_perm_halves(half, seed):
     """Disconnected 4-regular graph of two perm-model samples side by side:
     lambda = 4 has multiplicity 2."""
