@@ -8,6 +8,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidInvolution,
     InvalidParams,
+    LanczosBreakdown,
     MethodUnsupported,
     NbzetaError,
     NearContourPole,

@@ -1,49 +1,114 @@
 """Exact characteristic polynomials of integer matrices.
 
-The workhorse is a modular method: reduce the matrix mod several word-size
-primes, bring each image to Hessenberg form, run the Hessenberg charpoly
-recurrence, and CRT-lift.  The prime count comes from a rigorous Hadamard
-bound on the coefficients (each coefficient is a signed sum of principal
-minors), so the result is exact, never heuristic.
+The workhorse is a modular method: Lanczos over F_p for a batch of
+word-size primes at once, each prime one row of (P, m) arrays, then a
+Garner CRT lift.  The prime count comes from a rigorous Hadamard bound on
+the coefficients (each coefficient is a signed sum of principal minors),
+so the result is exact, never heuristic.
 
-A division-free Berkowitz implementation is kept as an independent oracle
-for small matrices.
+Lanczos needs a symmetric bilinear form for which M is self-adjoint.  An
+integer matrix with M^T = M[J][:, J] for an involutive permutation J (the
+identity for a symmetric M, the edge involution for a Hashimoto matrix) is
+self-adjoint for <x, y> = x . y[J].  From a start vector v_0 the
+recurrence
+
+    v_{j+1} = M v_j - a_j v_j - b_j v_{j-1},
+    a_j = <M v_j, v_j> / <v_j, v_j>,   b_j = <v_j, v_j> / <v_{j-1}, v_{j-1}>,
+
+is exact mod p, so no orthogonality is ever lost, and v_j = q_j(M) v_0
+for the monic q_{j+1} = (x - a_j) q_j - b_j q_{j-1}.  When v_{j+1} = 0
+the Krylov space is M-invariant and the form is non-degenerate on it, so
+its orthogonal complement is M-invariant too: the next block starts from a
+fresh vector projected off every vector found so far, with b = 0, and the
+same recurrence multiplies that block's polynomial in.  After m vectors
+q_m = det(xI - M) mod p.
+
+Breakdowns (Parlett, Taylor & Liu 1985).  All primes of a batch start from
+one shared integer vector, so each runs the reduction of one rational
+Lanczos run for as long as that run has no denominator divisible by it.
+A prime whose vector vanishes, or whose norm <v, v> vanishes, while
+another prime's does not is unlucky: it is dropped, and further primes
+from the pool make up the bound.  The lockstep only keeps the shapes
+common; every prime that finishes has exact residues by the argument
+above.  A norm that vanishes for every prime is taken for an isotropic
+vector: the block restarts from a fresh vector, at most _MAX_RESTARTS
+times per batch.  Start vectors come from a fixed seed; the result does
+not depend on it.
+
+Any other matrix runs as M + M^T (direct sum), self-adjoint for the
+involution that swaps the halves; its charpoly is charpoly(M)^2, and each
+prime takes the monic square root.
+
+Overflow budget: residues lie below 2^26 and M enters products only
+reduced mod p, so every product is below 2^52; no sum has more than
+2 * EXACT_CHARPOLY_LIMIT = 1024 terms, so every sum stays below 2^62
+(asserted below).
+
+Reference: Eberly & Kaltofen, "On randomized Lanczos algorithms",
+ISSAC 1997.  A division-free Berkowitz implementation is kept as an
+independent oracle for small matrices.
 """
 
-from math import comb, isqrt
+from math import comb, isqrt, prod
 
 import numpy as np
+import scipy.sparse as sp
 
-from .errors import TooLarge
+from .errors import LanczosBreakdown, TooLarge
 
 EXACT_CHARPOLY_LIMIT = 512
 
-# Primes just below 2**26: products of two residues fit int64 even after
-# summing 512 of them (512 * (2**26)**2 < 2**63), so numpy matmul is safe.
+# Primes just below 2**26, the 160 largest, descending.
 _PRIME_CEILING_BITS = 26
+_POOL_SIZE = 160
+_SIEVE_WINDOW = 8192
 
-
-def _is_prime(n):
-    if n < 2 or n % 2 == 0:
-        return n == 2
-    f, r = 3, isqrt(n)
-    while f <= r:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+# Lanczos vectors held per batch: (P, n, n) int64, about 8 primes deep at
+# n = EXACT_CHARPOLY_LIMIT.
+_VECTOR_BUDGET = 8 * EXACT_CHARPOLY_LIMIT ** 2
+_MAX_RESTARTS = 16
+_SEED = 0x5EED
 
 
 def _prime_pool():
-    pool = []
-    x = (1 << _PRIME_CEILING_BITS) - 1
-    while len(pool) < 160:
-        if _is_prime(x):
-            pool.append(x)
-        x -= 2
+    """The _POOL_SIZE largest primes below 2^26, descending: a numpy sieve
+    of the window just below 2^26 by the primes up to 2^13 = sqrt(2^26)."""
+    top = 1 << _PRIME_CEILING_BITS
+    root = 1 << (_PRIME_CEILING_BITS // 2)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for f in range(2, isqrt(root) + 1):
+        if small[f]:
+            small[f * f::f] = False
+    lo = top - _SIEVE_WINDOW
+    window = np.ones(_SIEVE_WINDOW, dtype=bool)
+    for f in np.flatnonzero(small).tolist():
+        window[-lo % f::f] = False
+    pool = (lo + np.flatnonzero(window)[::-1][:_POOL_SIZE]).tolist()
+    assert len(pool) == _POOL_SIZE
     return pool
 
+
 _PRIMES = _prime_pool()
+
+assert max(_PRIMES) < 1 << _PRIME_CEILING_BITS
+assert 2 * EXACT_CHARPOLY_LIMIT * (max(_PRIMES) - 1) ** 2 < 1 << 62
+
+
+def _integer_matrix(M):
+    """M as a square int64 or object (Python int) array; ValueError for
+    any other entries."""
+    M = np.asarray(M)
+    if M.dtype == object:
+        if not all(isinstance(x, (int, np.integer)) for x in M.flat):
+            raise ValueError("charpoly needs integer entries")
+    elif M.dtype.kind not in "biu":
+        raise ValueError(f"charpoly needs an integer matrix, not {M.dtype}")
+    else:
+        M = M.astype(object if M.dtype == np.uint64 else np.int64, copy=False)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("matrix must be square")
+    return M
 
 
 def coefficient_bound(M):
@@ -64,112 +129,172 @@ def coefficient_bound(M):
     return best
 
 
-def _hessenberg_mod(M, p):
-    """Similarity-reduce M to upper Hessenberg form mod p (in place copy)."""
-    H = (M % p).astype(np.int64)
-    m = H.shape[0]
-    for k in range(m - 2):
-        col = H[k + 1:, k]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
+def _start_vector(rng, n):
+    """Integer start vector shared by every prime of a batch."""
+    return rng.integers(0, 1 << _PRIME_CEILING_BITS, size=n)
+
+
+def _inverses(x, ps):
+    return np.array([pow(a, -1, p) for a, p in zip(x.tolist(), ps.tolist())],
+                    dtype=np.int64)
+
+
+def _block_operator(rows, cols, data, n):
+    """Block-diagonal sparse operator, one n x n block per prime."""
+    off = (np.arange(data.shape[0]) * n)[:, None]
+    size = data.shape[0] * n
+    return sp.csr_matrix(
+        (data.ravel(), ((rows + off).ravel(), (cols + off).ravel())), shape=(size, size)
+    )
+
+
+def _lanczos_residues(M, J, primes):
+    """(kept primes, det(xI - M) mod each, ascending, shape (P, n + 1)) for
+    an integer M self-adjoint for <x, y> = x . y[J]; see the module
+    docstring.  Raises LanczosBreakdown past _MAX_RESTARTS restarts."""
+    n = M.shape[0]
+    ps = np.array(primes, dtype=np.int64)
+    rows, cols = np.nonzero(M)
+    vals = M[rows, cols]
+    data = np.array([vals % p for p in primes], dtype=np.int64)
+    B = _block_operator(rows, cols, data, n)
+    V = np.zeros((len(primes), n, n), dtype=np.int64)
+    inv_norm, alpha, beta = (np.zeros((len(primes), n), dtype=np.int64) for _ in range(3))
+    rng = np.random.default_rng(_SEED)
+    k0 = k = restarts = 0       # k0 vectors in closed blocks, k found so far
+    while True:
+        p = ps[:, None]
+        if k == k0:
+            w = _start_vector(rng, n) % p
+            if k0:
+                c = (V[:, :k0] @ w[:, J, None])[..., 0] % p * inv_norm[:, :k0] % p
+                w = (w - (c[:, None, :] @ V[:, :k0])[:, 0]) % p
+        else:
+            v = V[:, k - 1]
+            u = (B @ v.ravel()).reshape(v.shape) % p
+            alpha[:, k - 1] = (u * vJ).sum(axis=1) % ps * inv_norm[:, k - 1] % ps
+            if k == n:
+                break
+            # beta is 0 at a block start, where V[:, k - 2] is not in the block
+            w = (u - alpha[:, k - 1, None] * v - beta[:, k - 1, None] * V[:, k - 2]) % p
+        wJ = w[:, J]
+        norm = (w * wJ).sum(axis=1) % ps
+        zero = ~w.any(axis=1)
+        live = ~zero & (norm != 0)
+        if not live.any() and zero.all() and k > k0:
+            k0 = k              # the block closes
             continue
-        r = k + 1 + int(nz[0])
-        if r != k + 1:
-            H[[k + 1, r], :] = H[[r, k + 1], :]
-            H[:, [k + 1, r]] = H[:, [r, k + 1]]
-        inv = pow(int(H[k + 1, k]), p - 2, p)
-        v = (H[k + 2:, k] * inv) % p
-        H[k + 2:, :] = (H[k + 2:, :] - v[:, None] * H[k + 1, :]) % p
-        H[:, k + 1] = (H[:, k + 1] + H[:, k + 2:] @ v) % p
-    return H
+        # unlucky: dead beside a live prime, or zero beside a nonzero vector
+        keep = live if live.any() else ~zero | zero.all()
+        if not keep.all():
+            V, inv_norm, alpha, beta, data, ps, w, wJ, norm = (
+                a[keep] for a in (V, inv_norm, alpha, beta, data, ps, w, wJ, norm))
+            B = _block_operator(rows, cols, data, n)
+        if not live.any():      # isotropic for every prime
+            restarts += 1
+            if restarts > _MAX_RESTARTS:
+                raise LanczosBreakdown(
+                    f"isotropic Lanczos vectors after {_MAX_RESTARTS} restarts")
+            k = k0
+            continue
+        V[:, k] = w
+        inv_norm[:, k] = _inverses(norm, ps)
+        beta[:, k] = norm * inv_norm[:, k - 1] % ps if k > k0 else 0
+        vJ = wJ
+        k += 1
+    q_prev = np.zeros((len(ps), n + 1), dtype=np.int64)
+    q = q_prev.copy()
+    q[:, 0] = 1
+    for j in range(n):
+        nxt = np.zeros_like(q)
+        nxt[:, 1:] = q[:, :-1]
+        nxt -= alpha[:, j, None] * q + beta[:, j, None] * q_prev
+        q_prev, q = q, nxt % ps[:, None]
+    return ps, q
 
 
-def _charpoly_hessenberg_mod(H, p):
-    """charpoly of an upper Hessenberg matrix mod p, ascending coefficients.
-
-    Zero subdiagonal entries split the matrix into independent blocks.  On
-    a block with nonzero subdiagonal, rescale by a diagonal similarity so
-    every subdiagonal entry is 1; the leading-minor recurrence then reads
-    p_k = (x - h_kk) p_{k-1} - sum_i h_ik p_{i-1}, one matvec per step.
-    """
-    m = H.shape[0]
-    if m == 0:
-        return np.array([1], dtype=np.int64)
-    sub = np.array([int(H[j + 1, j]) % p for j in range(m - 1)], dtype=np.int64)
-    cut = np.nonzero(sub == 0)[0]
-    if cut.size:
-        j = int(cut[0]) + 1
-        c1 = _charpoly_hessenberg_mod(H[:j, :j], p)
-        c2 = _charpoly_hessenberg_mod(H[j:, j:], p)
-        out = np.zeros(m + 1, dtype=np.int64)
-        for a, ca in enumerate(c1.tolist()):
-            if ca:
-                out[a:a + len(c2)] = (out[a:a + len(c2)] + ca * c2) % p
-        return out
-
-    d = np.ones(m, dtype=np.int64)
-    for j in range(1, m):
-        d[j] = (d[j - 1] * int(H[j, j - 1])) % p
-    dinv = np.array([pow(int(x), p - 2, p) for x in d], dtype=np.int64)
-    Hs = ((dinv[:, None] * H % p) * d[None, :]) % p
-
-    P = np.zeros((m + 1, m + 1), dtype=np.int64)
-    P[0, 0] = 1
-    for k in range(1, m + 1):
-        a = int(Hs[k - 1, k - 1])
-        newp = np.zeros(m + 1, dtype=np.int64)
-        newp[1:k + 1] = P[k - 1, 0:k]
-        newp[:k] = (newp[:k] - a * P[k - 1, :k]) % p
-        if k >= 2:
-            w = Hs[0:k - 1, k - 1]
-            newp[:k] = (newp[:k] - w @ P[0:k - 1, :k]) % p
-        P[k, :] = newp % p
-    return P[m, :]
+def _monic_sqrt(sq, ps):
+    """The monic f of degree n/2 with f^2 = sq mod each prime, ascending;
+    top down, 2 f_k = s_k - sum_{0<i<k} f_i f_{k-i} in descending order."""
+    half = (sq.shape[1] - 1) // 2
+    s = sq[:, ::-1]
+    f = np.zeros((len(ps), half + 1), dtype=np.int64)
+    f[:, 0] = 1
+    inv2 = (ps + 1) // 2
+    for k in range(1, half + 1):
+        cross = (f[:, 1:k] * f[:, k - 1:0:-1]).sum(axis=1)
+        f[:, k] = (s[:, k] - cross) % ps * inv2 % ps
+    return f[:, ::-1]
 
 
 def _crt_lift(residues, primes):
-    """Symmetric CRT lift of per-prime coefficient vectors to signed ints."""
-    ncoef = len(residues[0])
-    out = []
-    for j in range(ncoef):
-        x, prod = 0, 1
-        for res, p in zip(residues, primes):
-            t = ((int(res[j]) - x) * pow(prod % p, p - 2, p)) % p
-            x += prod * t
-            prod *= p
-        if x > prod // 2:
-            x -= prod
-        out.append(x)
-    return out
+    """Symmetric CRT lift of the rows of residues (one per prime) to signed
+    ints: Garner's mixed-radix digits, one inverse per prime, vectorized
+    over coefficients."""
+    digits = []
+    for r, p in zip(residues, primes):
+        s = np.zeros_like(r)                    # earlier digits' value mod p
+        for d, q in zip(reversed(digits), reversed(primes[:len(digits)])):
+            s = (s * q + d) % p
+        inv = pow(prod(primes[:len(digits)]) % p, -1, p)
+        digits.append((r - s) * inv % p)
+    x = np.zeros(residues.shape[1], dtype=object)
+    for d, q in zip(reversed(digits), reversed(primes)):
+        x = x * q + d.astype(object)
+    modulus = prod(primes)
+    return [v - modulus if v > modulus // 2 else v for v in x.tolist()]
 
 
-def charpoly(M, limit=EXACT_CHARPOLY_LIMIT):
-    """Exact det(xI - M) for an integer matrix, ascending coefficients."""
-    M = np.asarray(M)
+def charpoly(M, limit=EXACT_CHARPOLY_LIMIT, involution=None):
+    """Exact det(xI - M) for an integer matrix, ascending coefficients.
+
+    involution: a permutation J with J[J] = identity and M^T = M[J][:, J]
+    (for a Hashimoto matrix, the graph's edge involution).  Without one, a
+    symmetric M takes the identity and any other M runs as M + M^T.
+    """
+    M = _integer_matrix(M)
     m = M.shape[0]
-    if m != M.shape[1]:
-        raise ValueError("matrix must be square")
     if m > limit:
         raise TooLarge(f"exact charpoly limited to {limit}x{limit}")
     if m == 0:
         return [1]
-    target = 2 * coefficient_bound(M) + 1
-    Mi = M.astype(np.int64)
-    residues, primes, prod = [], [], 1
-    for p in _PRIMES:
-        residues.append(_charpoly_hessenberg_mod(_hessenberg_mod(Mi, p), p))
-        primes.append(p)
-        prod *= p
-        if prod > target:
-            break
+    ident = np.arange(m)
+    doubled = False
+    if involution is not None:
+        J = np.asarray(involution, dtype=np.int64)
+        if J.shape != (m,) or not np.array_equal(np.sort(J), ident) \
+                or not np.array_equal(J[J], ident):
+            raise ValueError("involution must be an involutive permutation")
+        if not np.array_equal(M.T, M[np.ix_(J, J)]):
+            raise ValueError("matrix is not self-adjoint for the involution")
+        K = M
+    elif np.array_equal(M, M.T):
+        J, K = ident, M
     else:
-        raise TooLarge("prime pool exhausted; matrix entries too large")
-    return _crt_lift(residues, primes)
+        J, doubled = np.concatenate([ident + m, ident]), True
+        K = np.block([[M, np.zeros_like(M)], [np.zeros_like(M), M.T]])
+    target = 2 * coefficient_bound(M) + 1
+    depth = max(1, _VECTOR_BUDGET // K.shape[0] ** 2)
+    pool = iter(_PRIMES)
+    primes, residues, modulus = [], [], 1
+    while modulus <= target:
+        batch = []
+        for p in pool:
+            batch.append(p)
+            if modulus * prod(batch) > target or len(batch) == depth:
+                break
+        if not batch:
+            raise TooLarge("prime pool exhausted; matrix entries too large")
+        ps, res = _lanczos_residues(K, J, batch)
+        primes += ps.tolist()
+        residues.append(_monic_sqrt(res, ps) if doubled else res)
+        modulus *= prod(ps.tolist())
+    return _crt_lift(np.concatenate(residues), primes)
 
 
 def charpoly_berkowitz(M):
     """Division-free Berkowitz charpoly; slow, used as a cross-check oracle."""
-    M = [[int(x) for x in row] for row in np.asarray(M)]
+    M = [[int(x) for x in row] for row in _integer_matrix(M)]
     m = len(M)
     if m == 0:
         return [1]

@@ -56,6 +56,11 @@ class FactorizationBreakdown(NbzetaError):
     """Symmetric factorization kept hitting near-zero pivots after retries."""
 
 
+class LanczosBreakdown(NbzetaError):
+    """Exact Lanczos met an isotropic vector for every prime after its
+    bounded number of restarts."""
+
+
 class UncertainCount(NbzetaError):
     """A Ritz value's residual band still contains the counting threshold
     at the tightest solver tolerance; carries theta, the band half-width

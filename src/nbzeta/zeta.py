@@ -94,9 +94,12 @@ def hashimoto_char_poly(g, limit=EXACT_CHARPOLY_LIMIT):
         det(mu I - H) = det(mu^2 I - mu A + (d-1) I) (mu+1)^|half|
                         (mu^2-1)^(|pair|-|V|),
 
-    with a negative exponent an exact division; H is never built.  An
-    irregular graph (or one without edges, whose H is empty) takes the
-    modular charpoly of H itself.  The limit bounds |E^dir| on both routes.
+    with a negative exponent an exact division; H is never built, and A,
+    symmetric, takes modular Lanczos for the standard form.  An irregular
+    graph (or one without edges, whose H is empty) takes the modular
+    charpoly of H itself, by Lanczos for the form x . y[involution], for
+    which H^T = P H P makes H self-adjoint.  The limit bounds |E^dir| on
+    both routes.
 
     The two are coefficient reversals of one another since det(mu I - H)
     is monic of degree |E^dir|.
@@ -106,7 +109,7 @@ def hashimoto_char_poly(g, limit=EXACT_CHARPOLY_LIMIT):
         raise TooLarge(f"exact char poly limited to {limit} directed edges")
     d = regularity(g)
     if not d:
-        mu_poly = charpoly(hashimoto_matrix(g), limit=limit)
+        mu_poly = charpoly(hashimoto_matrix(g), limit=limit, involution=g.involution)
     else:
         counts = graph_counts(g)
         adj_poly = charpoly(adjacency_matrix(g), limit=limit)
@@ -169,8 +172,9 @@ def verify_ihara(g, limit=EXACT_CHARPOLY_LIMIT):
     i.e. the identity with exponent |pair| - |V| after clearing
     denominators; without half-loops it is the reversal of
     det(I - uH) = det(I - uA + u^2(d-1)I) (1-u^2)^(-chi).  The H side is
-    the modular charpoly of H itself, never hashimoto_char_poly, whose
-    regular route is the A side.
+    the modular charpoly of H itself (Lanczos over F_p for the form
+    x . y[involution], for which H is self-adjoint), never
+    hashimoto_char_poly, whose regular route is the A side.
 
     Returns an IharaReport; raises IdentityViolation on mismatch.
     """
@@ -178,7 +182,7 @@ def verify_ihara(g, limit=EXACT_CHARPOLY_LIMIT):
     if d is None:
         raise MethodUnsupported("identity check needs a regular graph")
     counts = graph_counts(g)
-    lhs = charpoly(hashimoto_matrix(g), limit=limit)
+    lhs = charpoly(hashimoto_matrix(g), limit=limit, involution=g.involution)
     deficit = counts.vertices - counts.pairs
     if deficit > 0:
         lhs = polys.mul(polys.pow_([-1, 0, 1], deficit), lhs)

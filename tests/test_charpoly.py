@@ -1,11 +1,16 @@
+import hashlib
+from math import isqrt, prod
+
 import numpy as np
 import pytest
 
+import nbzeta.charpoly as charpoly_mod
 import nbzeta.zeta as zeta_mod
-from nbzeta import TooLarge, hashimoto_char_poly
+from nbzeta import LanczosBreakdown, TooLarge, hashimoto_char_poly
 from nbzeta.charpoly import charpoly, charpoly_berkowitz, coefficient_bound
 from nbzeta import polys
 from nbzeta import (
+    adjacency_matrix,
     build_bouquet,
     build_graph,
     complete_graph,
@@ -17,7 +22,7 @@ from nbzeta import (
     sample_permutation_model,
     sample_single_cycle_model,
 )
-from nbzeta.graphs import regularity
+from nbzeta.graphs import graph_from_pairs, regularity
 
 from conftest import random_regular_corpus
 
@@ -172,3 +177,365 @@ def test_regular_char_poly_does_not_build_hashimoto(monkeypatch):
     assert hashimoto_char_poly(complete_graph(4)) == expected
     hashimoto_char_poly(sample_cover(build_bouquet(0, 3), 1, seed=0).total)
     hashimoto_char_poly(sample_permutation_model(32, 4, seed=7))
+
+
+def _is_prime(n):
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    f, r = 3, isqrt(n)
+    while f <= r:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def test_prime_pool_is_the_largest_primes_below_2_26():
+    expected, x = [], (1 << 26) - 1
+    while len(expected) < 160:
+        if _is_prime(x):
+            expected.append(x)
+        x -= 2
+    assert charpoly_mod._PRIMES == expected
+    assert charpoly_mod._prime_pool() == expected
+
+
+def _crt_scalar(residues, primes):
+    """One inverse per coefficient per prime: the reference lift."""
+    out = []
+    for j in range(len(residues[0])):
+        x, modulus = 0, 1
+        for res, p in zip(residues, primes):
+            x += modulus * ((int(res[j]) - x) * pow(modulus % p, p - 2, p) % p)
+            modulus *= p
+        out.append(x - modulus if x > modulus // 2 else x)
+    return out
+
+
+def test_garner_lift_matches_scalar_crt():
+    rng = np.random.default_rng(5)
+    for P in (1, 2, 5, 12):
+        primes = charpoly_mod._PRIMES[3:3 + P]
+        residues = np.array([rng.integers(0, p, size=40) for p in primes])
+        residues[:, 0] = 0
+        residues[:, 1] = [p - 1 for p in primes]
+        assert charpoly_mod._crt_lift(residues, primes) == _crt_scalar(residues, primes)
+    # a signed value round-trips
+    primes = charpoly_mod._PRIMES[:6]
+    values = [0, 1, -1, 2 ** 140, -(2 ** 140) + 7, prod(primes) // 2, -(prod(primes) // 2)]
+    residues = np.array([[v % p for v in values] for p in primes])
+    assert charpoly_mod._crt_lift(residues, primes) == values
+
+
+def test_charpoly_input_range():
+    half = np.array([[0.5, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        charpoly(half)
+    with pytest.raises(ValueError):
+        charpoly_berkowitz(half)
+    with pytest.raises(ValueError):
+        charpoly(np.array([[1, 0.5], [0, 1]], dtype=object))
+    assert charpoly(np.array([[2 ** 70]], dtype=object)) == [-(2 ** 70), 1]
+    assert charpoly(np.array([[2 ** 62, 0], [0, 1]])) == [2 ** 62, -(2 ** 62) - 1, 1]
+    big = np.array([[2 ** 70, 3], [-(2 ** 65), 1]], dtype=object)
+    assert charpoly(big) == charpoly_berkowitz(big)
+    assert charpoly(np.array([[True, False], [True, True]])) == [1, -2, 1]
+    assert charpoly(np.array([[7, 1], [1, 2]], dtype=np.uint8)) == [13, -9, 1]
+    assert charpoly(np.array([[2 ** 64 - 1]], dtype=np.uint64)) == [1 - 2 ** 64, 1]
+
+
+def test_involution_must_make_the_matrix_self_adjoint():
+    g = petersen_graph()
+    H = hashimoto_matrix(g)
+    with pytest.raises(ValueError):
+        charpoly(H, involution=np.arange(H.shape[0]))
+    with pytest.raises(ValueError):
+        charpoly(H, involution=np.zeros(H.shape[0], dtype=int))
+    with pytest.raises(ValueError):
+        charpoly(np.ones((3, 3), dtype=int), involution=[1, 2, 0])
+
+
+def _c6_box_k4():
+    """C6 x K4 (Cartesian product): 5-regular with adjacency eigenvalue
+    1 + 3 = 4 = 2 sqrt(d - 1), so H has a Jordan block at mu = 2."""
+    a, b = [], []
+    for i in range(6):
+        for v in range(4):
+            a.append(4 * i + v)
+            b.append(4 * ((i + 1) % 6) + v)
+            for w in range(v + 1, 4):
+                a.append(4 * i + v)
+                b.append(4 * i + w)
+    return graph_from_pairs(24, a, b)
+
+
+def _lanczos_graph_corpus():
+    """The regular and irregular graphs of _char_poly_corpus, graphs like the
+    benchmark's (m = 128 and m = 129 with a half-loop), covers of K4,
+    Petersen and bouquets with half-loops, and C6 x K4."""
+    corpus = list(_char_poly_corpus())
+    corpus += [(f"perm n=32 d=4 seed={s}", sample_permutation_model(32, 4, seed=s))
+               for s in (1, 2)]
+    corpus += [(f"bouquet(1,1) cover n=43 seed={s}",
+                sample_cover(build_bouquet(1, 1), 43, seed=s).total) for s in (1, 2)]
+    corpus += [(f"K4 cover n={n}", sample_cover(complete_graph(4), n, seed=n).total)
+               for n in (2, 5, 10)]
+    corpus += [(f"Petersen cover n={n}", sample_cover(petersen_graph(), n, seed=n).total)
+               for n in (2, 4)]
+    corpus += [(f"bouquet(2,1) cover n={n}", sample_cover(build_bouquet(2, 1), n, seed=n).total)
+               for n in (3, 8)]
+    corpus += [(f"bouquet(0,5) cover n={n}", sample_cover(build_bouquet(0, 5), n, seed=n).total)
+               for n in (2, 5)]
+    corpus += [("C6 x K4", _c6_box_k4())]
+    return corpus
+
+
+def _digest(poly):
+    return hashlib.sha256(",".join(map(str, poly)).encode()).hexdigest()[:16]
+
+
+# Digests of det(xI - H) and det(xI - A) from the Hessenberg reduction that
+# Lanczos replaced.
+_CORPUS_DIGESTS = {
+    'perm n=9 d=4': ('0bd00d5252ff4980', '1261b56579c397de'),
+    'perm n=5 d=6': ('5d3e518bf7ee1c3c', 'f5aefaf3d78f6bd9'),
+    'cycle n=11 d=4': ('4828acccca627a47', '662247e0098d055a'),
+    'match n=10 d=3': ('1da832a1a0526ee1', '96e8d177ab4c0051'),
+    'Petersen': ('82d04cfc0af5955c', 'ec3e56b2bd0c37e1'),
+    'bouquet(0,3)': ('7d04ba065ad9296d', '593b8255b777c9d0'),
+    'bouquet(0,1)': ('83b97b859aa5f81b', '8a918b5bada61adc'),
+    'cycles, cover of bouquet(1,0) n=2': ('4422fc513308f51d', 'fd565fd50ecb1d42'),
+    'cycles, cover of bouquet(1,0) n=7': ('8306f497dc2dd03e', 'baf25ac32ec88bd4'),
+    '4 x bouquet(0,3)': ('c9d68c2f6d693a95', '1efcab656ce3ab07'),
+    'K4 + bouquet(0,3) cover': ('1bd0c6dcc4a69152', 'f0d420c44d778328'),
+    'irregular K4 minus an edge': ('9eb3b602332749bd', '6b092cd36a55622f'),
+    'bouquet(0,3) cover n=1': ('7d04ba065ad9296d', '593b8255b777c9d0'),
+    'bouquet(0,3) cover n=3': ('fea6efb5fabfba32', 'b908c17bfc8103a3'),
+    'bouquet(0,3) cover n=5': ('5162cc7273ace108', 'd93d51674cef8446'),
+    'bouquet(0,3) cover n=7': ('38670e0d525fec7c', '3bda6d03fec04b4a'),
+    'bouquet(0,1) cover n=4': ('ea3d0eb3414eb7a8', '8b1e54586c5ad1fa'),
+    'bouquet(0,1) cover n=7': ('e2d82402cff97672', 'f05ac450d4db5589'),
+    'bouquet(1,1) cover n=6': ('b99bed04ca68de20', 'eaaca03124e19a8c'),
+    'bouquet(1,2) cover n=6': ('038de5a9d94ea8c8', '604563db60561228'),
+    'bouquet(1,1) cover n=9': ('8f0162772c91d218', '5ecfbeebe6875463'),
+    'bouquet(1,2) cover n=9': ('6815a2ed26081bb1', 'c1ebcf3819e37f6d'),
+    'perm n=32 d=4 seed=1': ('ab618344ee1d8692', '74b03a3910e925ae'),
+    'perm n=32 d=4 seed=2': ('7bed7fa635e168d3', 'f515576f3a56afc6'),
+    'bouquet(1,1) cover n=43 seed=1': ('cc9ab2b0e2ac8eaf', '4fc26df8f826ed70'),
+    'bouquet(1,1) cover n=43 seed=2': ('7c7f19308debdc8f', 'c49fdd4f33897f9b'),
+    'K4 cover n=2': ('8c5b5f43082f8ade', 'f639538ff3dbfea7'),
+    'K4 cover n=5': ('5b80451e70c02569', '980ce2aad859e567'),
+    'K4 cover n=10': ('ee9685720812d9e3', '5830885a11fb26fb'),
+    'Petersen cover n=2': ('3b04ccfc61959d02', '1483039738c6dc3e'),
+    'Petersen cover n=4': ('c661b4b504948002', 'a79a468fb8a8445d'),
+    'bouquet(2,1) cover n=3': ('b0a6bc5547321abb', '40ccceb804e89be3'),
+    'bouquet(2,1) cover n=8': ('10e9e65d503df1f9', 'e711fe7f621555c5'),
+    'bouquet(0,5) cover n=2': ('664fa56918b2c6f3', '7d41e01ec9f9d0eb'),
+    'bouquet(0,5) cover n=5': ('afd5a9ac1dd6a206', '2bdb65c0488abdd2'),
+    'C6 x K4': ('9298154fe0ba5384', '44601084bc5e208f'),
+}
+
+
+def test_lanczos_graph_corpus_matches_pinned_and_oracles():
+    corpus = _lanczos_graph_corpus()
+    assert len(corpus) == len(_CORPUS_DIGESTS)
+    for name, g in corpus:
+        H, A = hashimoto_matrix(g), adjacency_matrix(g)
+        h_poly = charpoly(H, involution=g.involution)
+        a_poly = charpoly(A)
+        assert (_digest(h_poly), _digest(a_poly)) == _CORPUS_DIGESTS[name], name
+        if H.shape[0] <= 20:
+            assert h_poly == charpoly_berkowitz(H), name
+        if A.shape[0] <= 24:
+            assert a_poly == charpoly_berkowitz(A), name
+        if regularity(g):
+            assert h_poly == hashimoto_char_poly(g)[0], name
+
+
+def test_c6_box_k4_hashimoto_has_a_jordan_block_at_2():
+    g = _c6_box_k4()
+    assert regularity(g) == 5
+    h_poly = charpoly(hashimoto_matrix(g), involution=g.involution)
+    assert h_poly == hashimoto_char_poly(g)[0]
+    # mu = 2 is a multiple root of det(mu I - H) ...
+    value = sum(c * 2 ** k for k, c in enumerate(h_poly))
+    slope = sum(k * c * 2 ** (k - 1) for k, c in enumerate(h_poly) if k)
+    assert value == slope == 0
+    # ... and H - 2I has a Jordan block: its square has a larger kernel
+    N = hashimoto_matrix(g).astype(float) - 2 * np.eye(g.directed_edge_count)
+    assert np.linalg.matrix_rank(N @ N) < np.linalg.matrix_rank(N)
+
+
+def _general_matrices():
+    rng = np.random.default_rng(11)
+    out = []
+    for m in range(1, 13):
+        out.append(rng.integers(-6, 7, size=(m, m)))
+        out.append((rng.random((m, m)) < 0.2).astype(int))
+    for m in (1, 2, 5, 8):
+        out.append(np.zeros((m, m), dtype=int))
+        out.append(3 * np.eye(m, dtype=int))
+        out.append(np.triu(rng.integers(-4, 5, size=(m, m)), 1))     # nilpotent
+        out.append(np.eye(m, k=1, dtype=int))                         # one Jordan block at 0
+        jordan = 2 * np.eye(m, dtype=int) + np.eye(m, k=1, dtype=int)
+        out.append(jordan)
+        out.append(np.kron(np.eye(2, dtype=int), jordan))             # two equal blocks
+        u, v = rng.integers(-3, 4, size=(2, m))
+        out.append(np.outer(u, v))                                    # rank one
+        out.append(np.roll(np.eye(m, dtype=int), 1, axis=0))          # cyclic permutation
+        out.append(np.triu(rng.integers(-4, 5, size=(m, m))))         # triangular
+        c = np.eye(m, k=-1, dtype=int)                                # companion
+        c[:, -1] = rng.integers(-5, 6, size=m)
+        out.append(c)
+    return out
+
+
+def test_general_matrices_through_the_doubled_route():
+    matrices = _general_matrices()
+    assert len(matrices) >= 60
+    for i, M in enumerate(matrices):
+        assert charpoly(M) == charpoly_berkowitz(M), (i, M)
+
+
+def _swap_involution(m, fixed):
+    """Involutive permutation of range(m) with `fixed` fixed points, the
+    rest swapped in shuffled pairs."""
+    rng = np.random.default_rng(m * 31 + fixed)
+    order = rng.permutation(m)
+    J = np.arange(m)
+    moved = order[fixed:]
+    for a, b in zip(moved[0::2], moved[1::2]):
+        J[a], J[b] = b, a
+    return J
+
+
+def _self_adjoint_matrices():
+    """S P_J for symmetric S: (S P)^T = P S = P (S P) P.  Low-rank S, and
+    S = x x^T with x J-isotropic, which makes S P nilpotent."""
+    rng = np.random.default_rng(12)
+    out = []
+    for m in (2, 3, 4, 6, 9, 12):
+        for fixed in (0, m % 2, m):
+            if (m - fixed) % 2:
+                continue
+            J = _swap_involution(m, fixed)
+            P = np.eye(m, dtype=int)[J]
+            for rank in (0, 1, 2, m):
+                X = rng.integers(-3, 4, size=(rank, m))
+                out.append((X.T @ X @ P, J))
+            firsts = np.flatnonzero(J > np.arange(m))
+            if firsts.size:
+                # rows supported on one edge of each swapped pair span a
+                # J-isotropic space, so S P is nilpotent
+                X = np.zeros((2, m), dtype=int)
+                X[:, firsts] = rng.integers(1, 4, size=(2, firsts.size))
+                out.append((np.outer(X[0], X[0]) @ P, J))
+                out.append((X.T @ X @ P, J))
+            out.append((np.zeros((m, m), dtype=int), J))
+    return out
+
+
+def test_self_adjoint_low_rank_and_nilpotent():
+    cases = _self_adjoint_matrices()
+    assert len(cases) >= 50
+    for i, (M, J) in enumerate(cases):
+        assert np.array_equal(M.T, M[np.ix_(J, J)])
+        assert charpoly(M, involution=J) == charpoly_berkowitz(M), (i, M, J)
+
+
+def test_small_primes_are_dropped_and_results_stay_exact(monkeypatch):
+    cases = [(hashimoto_matrix(g), g.involution)
+             for _, g in _char_poly_corpus()[:8]]
+    cases += [(M, None) for M in _general_matrices()[:20]]
+    expected = [charpoly(M, involution=J) for M, J in cases]
+    batches = []
+    real = charpoly_mod._lanczos_residues
+
+    def recording(M, J, primes):
+        ps, res = real(M, J, primes)
+        batches.append((list(primes), ps.tolist()))
+        return ps, res
+
+    monkeypatch.setattr(charpoly_mod, "_lanczos_residues", recording)
+    monkeypatch.setattr(charpoly_mod, "_PRIMES", [3, 5, 7, 11] + charpoly_mod._PRIMES)
+    for (M, J), want in zip(cases, expected):
+        assert charpoly(M, involution=J) == want
+    assert any(len(kept) < len(batch) for batch, kept in batches)
+
+
+def _isotropic_draw(rng, n):
+    """A draw for the doubled route: nonzero on M's half only, so
+    <x, x> = 2 x_top . x_bottom = 0 for every prime."""
+    x = np.zeros(n, dtype=np.int64)
+    x[: n // 2] = rng.integers(1, 1 << 26, size=n // 2)
+    return x
+
+
+def test_isotropic_start_vector_restarts_the_block(monkeypatch):
+    M = np.array([[1, 2, 0], [0, 1, 3], [4, 0, 2]])
+    real = charpoly_mod._start_vector
+    draws = []
+
+    def counting(rng, n):
+        draws.append(n)
+        return real(rng, n)
+
+    def first_isotropic(rng, n):
+        draws.append(n)
+        return _isotropic_draw(rng, n) if len(draws) == 1 else real(rng, n)
+
+    monkeypatch.setattr(charpoly_mod, "_start_vector", counting)
+    assert charpoly(M) == charpoly_berkowitz(M)
+    blocks = len(draws)
+    draws.clear()
+    monkeypatch.setattr(charpoly_mod, "_start_vector", first_isotropic)
+    assert charpoly(M) == charpoly_berkowitz(M)
+    assert len(draws) == blocks + 1
+
+
+def test_always_isotropic_draw_raises_after_bounded_restarts(monkeypatch):
+    draws = []
+
+    def always(rng, n):
+        draws.append(n)
+        return _isotropic_draw(rng, n)
+
+    monkeypatch.setattr(charpoly_mod, "_start_vector", always)
+    with pytest.raises(LanczosBreakdown):
+        charpoly(np.array([[1, 2], [3, 4]]))
+    assert len(draws) == charpoly_mod._MAX_RESTARTS + 1
+
+
+def test_result_does_not_depend_on_the_seed(monkeypatch):
+    g = sample_cover(build_bouquet(1, 1), 9, seed=3).total
+    H = hashimoto_matrix(g)
+    M = np.array([[0, 1, 0], [0, 0, 1], [2, -1, 1]])
+    before = charpoly(H, involution=g.involution), charpoly(M)
+    for seed in (1, 2, 99):
+        monkeypatch.setattr(charpoly_mod, "_SEED", seed)
+        assert (charpoly(H, involution=g.involution), charpoly(M)) == before
+
+
+def test_every_kept_prime_has_exact_residues():
+    """Small primes make every breakdown common.  Over such a batch the
+    kernel either gives up after its bounded restarts or keeps primes that
+    hold det(xI - M) mod p exactly."""
+    cases = [(hashimoto_matrix(g), g.involution) for _, g in _char_poly_corpus()[:10]]
+    cases += _self_adjoint_matrices()[::4]
+    rng = np.random.default_rng(13)
+    for m in (2, 4, 7):
+        S = rng.integers(-3, 4, size=(m, m))
+        cases.append((S + S.T, np.arange(m)))
+    dropped = finished = 0
+    for i, (M, J) in enumerate(cases):
+        exact = charpoly_berkowitz(M)
+        for primes in ([3, 5, 7], [5, 7, 11, 13], [11, 13, 17, 19, 23]):
+            try:
+                ps, res = charpoly_mod._lanczos_residues(M, np.asarray(J), primes)
+            except LanczosBreakdown:
+                continue
+            finished += 1
+            dropped += len(primes) - len(ps)
+            for p, r in zip(ps.tolist(), res.tolist()):
+                assert r == [c % p for c in exact], (i, p)
+    assert dropped and finished >= 2 * len(cases)

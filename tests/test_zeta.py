@@ -107,9 +107,9 @@ def test_verify_ihara_independent_of_char_poly_route(monkeypatch):
     shapes = []
     real = zeta_mod.charpoly
 
-    def recording(M, limit):
+    def recording(M, limit, **kw):
         shapes.append(M.shape)
-        return real(M, limit=limit)
+        return real(M, limit=limit, **kw)
 
     monkeypatch.setattr(zeta_mod, "charpoly", recording)
     for g in (complete_graph(4), build_bouquet(0, 3)):
