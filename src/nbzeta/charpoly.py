@@ -39,10 +39,23 @@ Any other matrix runs as M + M^T (direct sum), self-adjoint for the
 involution that swaps the halves; its charpoly is charpoly(M)^2, and each
 prime takes the monic square root.
 
+Invariant subspaces.  When the caller knows an M-invariant subspace W,
+spanned by the integer columns of G, and the charpoly f of M on the
+quotient space, det(xI - M) = f * det(xI - M|_W).  Every start vector is
+then G c for a random integer c, so the recurrence and the block-start
+projections never leave W; the run stops after dim W = m - deg f vectors,
+and each prime's residues are multiplied by f mod p before the lift.  The
+lift takes M's own bound: M|_W's factor may need more primes than the
+whole, so it is never lifted alone.  The form must be non-degenerate on W
+over Q (a prime for which it degenerates only drops out as unlucky); a
+stated dim W larger than W's own ends in LanczosBreakdown, and a W that is
+not invariant gives a wrong result, so the caller vouches for both.
+
 Overflow budget: residues lie below 2^26 and M enters products only
 reduced mod p, so every product is below 2^52; no sum has more than
 2 * EXACT_CHARPOLY_LIMIT = 1024 terms, so every sum stays below 2^62
-(asserted below).
+(asserted below).  Start vectors in W are G c with entries of G and c
+below 2^26 and at most 1024 columns, inside the same budget.
 
 Reference: Eberly & Kaltofen, "On randomized Lanczos algorithms",
 ISSAC 1997.  A division-free Berkowitz implementation is kept as an
@@ -115,10 +128,15 @@ def coefficient_bound(M):
     """Rigorous bound on |c_k| over all k for charpoly(M).
 
     c_k is a signed sum of the C(m,k) principal k-minors; each minor is
-    Hadamard-bounded by the product of the k largest row 2-norms.
+    Hadamard-bounded by the product of the k largest row 2-norms.  The row
+    sums of squares are taken in int64 when m * max|entry|^2 < 2^63, which
+    makes them exact, and as Python ints otherwise.
     """
     m = M.shape[0]
-    sq = np.sort(np.asarray(np.sum(M.astype(object) ** 2, axis=1)))[::-1]
+    if m and M.dtype == np.int64 and m * max(int(M.max()), -int(M.min())) ** 2 < 1 << 63:
+        sq = np.sort(np.sum(M * M, axis=1))[::-1]
+    else:
+        sq = np.sort(np.asarray(np.sum(M.astype(object) ** 2, axis=1)))[::-1]
     best, acc = 1, 1
     for k in range(1, m + 1):
         if sq[k - 1] > 0:
@@ -148,24 +166,30 @@ def _block_operator(rows, cols, data, n):
     )
 
 
-def _lanczos_residues(M, J, primes):
-    """(kept primes, det(xI - M) mod each, ascending, shape (P, n + 1)) for
-    an integer M self-adjoint for <x, y> = x . y[J]; see the module
-    docstring.  Raises LanczosBreakdown past _MAX_RESTARTS restarts."""
+def _lanczos_residues(M, J, primes, gens=None, dim=None):
+    """(kept primes, det(xI - M|_W) mod each, ascending, shape (P, dim + 1))
+    for an integer M self-adjoint for <x, y> = x . y[J], W the M-invariant
+    span of the columns of gens (the whole space when None) and dim its
+    dimension; see the module docstring.  Raises LanczosBreakdown past
+    _MAX_RESTARTS restarts."""
     n = M.shape[0]
+    dim = n if gens is None else dim
     ps = np.array(primes, dtype=np.int64)
     rows, cols = np.nonzero(M)
     vals = M[rows, cols]
     data = np.array([vals % p for p in primes], dtype=np.int64)
     B = _block_operator(rows, cols, data, n)
-    V = np.zeros((len(primes), n, n), dtype=np.int64)
-    inv_norm, alpha, beta = (np.zeros((len(primes), n), dtype=np.int64) for _ in range(3))
+    V = np.zeros((len(primes), dim, n), dtype=np.int64)
+    inv_norm, alpha, beta = (np.zeros((len(primes), dim), dtype=np.int64) for _ in range(3))
     rng = np.random.default_rng(_SEED)
     k0 = k = restarts = 0       # k0 vectors in closed blocks, k found so far
     while True:
         p = ps[:, None]
         if k == k0:
-            w = _start_vector(rng, n) % p
+            if gens is None:
+                w = _start_vector(rng, n) % p
+            else:
+                w = gens @ _start_vector(rng, gens.shape[1]) % p
             if k0:
                 c = (V[:, :k0] @ w[:, J, None])[..., 0] % p * inv_norm[:, :k0] % p
                 w = (w - (c[:, None, :] @ V[:, :k0])[:, 0]) % p
@@ -173,7 +197,7 @@ def _lanczos_residues(M, J, primes):
             v = V[:, k - 1]
             u = (B @ v.ravel()).reshape(v.shape) % p
             alpha[:, k - 1] = (u * vJ).sum(axis=1) % ps * inv_norm[:, k - 1] % ps
-            if k == n:
+            if k == dim:
                 break
             # beta is 0 at a block start, where V[:, k - 2] is not in the block
             w = (u - alpha[:, k - 1, None] * v - beta[:, k - 1, None] * V[:, k - 2]) % p
@@ -202,10 +226,10 @@ def _lanczos_residues(M, J, primes):
         beta[:, k] = norm * inv_norm[:, k - 1] % ps if k > k0 else 0
         vJ = wJ
         k += 1
-    q_prev = np.zeros((len(ps), n + 1), dtype=np.int64)
+    q_prev = np.zeros((len(ps), dim + 1), dtype=np.int64)
     q = q_prev.copy()
     q[:, 0] = 1
-    for j in range(n):
+    for j in range(dim):
         nxt = np.zeros_like(q)
         nxt[:, 1:] = q[:, :-1]
         nxt -= alpha[:, j, None] * q + beta[:, j, None] * q_prev
@@ -245,12 +269,45 @@ def _crt_lift(residues, primes):
     return [v - modulus if v > modulus // 2 else v for v in x.tolist()]
 
 
-def charpoly(M, limit=EXACT_CHARPOLY_LIMIT, involution=None):
+def _times(residues, poly, ps):
+    """Each prime's row of residues times the integer polynomial poly, mod
+    that prime; ascending coefficients."""
+    f = np.array([[c % p for c in poly] for p in ps.tolist()], dtype=np.int64)
+    width = residues.shape[1]
+    out = np.zeros((len(ps), width + f.shape[1] - 1), dtype=np.int64)
+    for j in range(f.shape[1]):
+        out[:, j:j + width] = (out[:, j:j + width] + f[:, j, None] * residues) % ps[:, None]
+    return out
+
+
+def _generators(invariant, m):
+    """(G as int64, quotient, dim W) from invariant = (G, quotient).  G's
+    entries below 2^26 and at most 2 * limit columns keep the start vectors
+    G c in the overflow budget."""
+    G, quotient = invariant
+    G = np.asarray(G)
+    if G.dtype.kind not in "biu" or G.ndim != 2 or G.shape[0] != m \
+            or G.size and not -(1 << 26) < G.min() <= G.max() < 1 << 26:
+        raise ValueError("invariant subspace needs m integer rows, entries below 2^26")
+    if G.shape[1] > 2 * EXACT_CHARPOLY_LIMIT:
+        raise ValueError("invariant subspace needs at most 2 * limit columns")
+    quotient = [int(c) for c in quotient]
+    if not quotient or quotient[-1] != 1 or len(quotient) > m + 1:
+        raise ValueError("quotient charpoly must be monic of degree at most m")
+    return G.astype(np.int64), quotient, m + 1 - len(quotient)
+
+
+def charpoly(M, limit=EXACT_CHARPOLY_LIMIT, involution=None, invariant=None):
     """Exact det(xI - M) for an integer matrix, ascending coefficients.
 
     involution: a permutation J with J[J] = identity and M^T = M[J][:, J]
     (for a Hashimoto matrix, the graph's edge involution).  Without one, a
     symmetric M takes the identity and any other M runs as M + M^T.
+
+    invariant: (G, quotient) for a self-adjoint M (an involution, or M
+    symmetric): the integer columns of G span an M-invariant subspace W
+    and quotient is det(xI - M) on the quotient space, ascending.  Lanczos
+    then runs in W only; see the module docstring.
     """
     M = _integer_matrix(M)
     m = M.shape[0]
@@ -273,8 +330,16 @@ def charpoly(M, limit=EXACT_CHARPOLY_LIMIT, involution=None):
     else:
         J, doubled = np.concatenate([ident + m, ident]), True
         K = np.block([[M, np.zeros_like(M)], [np.zeros_like(M), M.T]])
+    subspace, quotient, dim = {}, [1], K.shape[0]
+    if invariant is not None:
+        if doubled:
+            raise ValueError("an invariant subspace needs a self-adjoint matrix")
+        G, quotient, dim = _generators(invariant, m)
+        if dim == 0:
+            return quotient
+        subspace = dict(gens=G, dim=dim)
     target = 2 * coefficient_bound(M) + 1
-    depth = max(1, _VECTOR_BUDGET // K.shape[0] ** 2)
+    depth = max(1, _VECTOR_BUDGET // (dim * K.shape[0]))
     pool = iter(_PRIMES)
     primes, residues, modulus = [], [], 1
     while modulus <= target:
@@ -285,9 +350,11 @@ def charpoly(M, limit=EXACT_CHARPOLY_LIMIT, involution=None):
                 break
         if not batch:
             raise TooLarge("prime pool exhausted; matrix entries too large")
-        ps, res = _lanczos_residues(K, J, batch)
+        ps, res = _lanczos_residues(K, J, batch, **subspace)
+        if doubled:
+            res = _monic_sqrt(res, ps)
         primes += ps.tolist()
-        residues.append(_monic_sqrt(res, ps) if doubled else res)
+        residues.append(_times(res, quotient, ps))
         modulus *= prod(ps.tolist())
     return _crt_lift(np.concatenate(residues), primes)
 

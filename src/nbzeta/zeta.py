@@ -15,6 +15,7 @@ and -zeta'/zeta(u) = L(u) + e(u) with the explicit rational remainder
 whose poles are +-1 (residue -chi) and +-1/(d-1).
 """
 
+import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,30 +95,118 @@ def hashimoto_char_poly(g, limit=EXACT_CHARPOLY_LIMIT):
         det(mu I - H) = det(mu^2 I - mu A + (d-1) I) (mu+1)^|half|
                         (mu^2-1)^(|pair|-|V|),
 
-    with a negative exponent an exact division; H is never built, and A,
-    symmetric, takes modular Lanczos for the standard form.  An irregular
-    graph (or one without edges, whose H is empty) takes the modular
-    charpoly of H itself, by Lanczos for the form x . y[involution], for
-    which H^T = P H P makes H self-adjoint.  The limit bounds |E^dir| on
-    both routes.
+    with a negative exponent an exact division; H is never built, A's
+    charpoly comes from modular Lanczos for the standard form (shared with
+    verify_ihara through a one-entry memo keyed by a digest of A), and the
+    limit bounds n.  An irregular graph (or one without edges, whose H is
+    empty) takes _hashimoto_charpoly, the modular charpoly of H itself:
+    Lanczos on H's invariant subspace W, the rest from the graph's counts
+    once H has passed an exact check; there the limit bounds |E^dir|.
 
     The two are coefficient reversals of one another since det(mu I - H)
     is monic of degree |E^dir|.
     """
     m = g.directed_edge_count
-    if m > limit:
-        raise TooLarge(f"exact char poly limited to {limit} directed edges")
     d = regularity(g)
     if not d:
-        mu_poly = charpoly(hashimoto_matrix(g), limit=limit, involution=g.involution)
+        mu_poly = _hashimoto_charpoly(g, limit)
     else:
         counts = graph_counts(g)
-        adj_poly = charpoly(adjacency_matrix(g), limit=limit)
         mu_poly = _divide_by_mu2_minus_1(
-            _pencil_side(adj_poly, d, counts), counts.vertices - counts.pairs
+            _pencil_side(_adjacency_charpoly(g, limit), d, counts),
+            counts.vertices - counts.pairs,
         )
     u_poly = polys.reciprocal(mu_poly, degree=m)
     return mu_poly, u_poly
+
+
+# (digest of the last dense A, det(xI - A)): hashimoto_char_poly and then
+# verify_ihara on one graph take A's charpoly once.  The pair is replaced
+# whole, so a concurrent caller at worst recomputes, never mismatches.
+_adjacency_memo = (None, None)
+
+
+def _adjacency_charpoly(g, limit):
+    """det(xI - A) for A = adjacency_matrix(g), from the memo when the
+    digest of A's bytes and shape matches the last A; a changed A misses.
+    The limit bounds n, before A is built."""
+    global _adjacency_memo
+    if g.vertex_count > limit:
+        raise TooLarge(f"exact char poly limited to {limit} vertices")
+    A = adjacency_matrix(g)
+    key = (A.shape, A.dtype.str, hashlib.blake2b(A.tobytes()).digest())
+    memo = _adjacency_memo
+    if memo[0] != key:
+        memo = _adjacency_memo = (key, tuple(charpoly(A, limit=limit)))
+    return list(memo[1])
+
+
+def _component_counts(g):
+    """(components, bipartite components) of g, by BFS 2-colouring; a loop
+    makes its component non-bipartite, and an isolated vertex counts as a
+    bipartite component."""
+    neighbours = [[] for _ in range(g.vertex_count)]
+    for t, h in zip(g.tails.tolist(), g.heads.tolist()):
+        neighbours[t].append(h)
+    colour = [-1] * g.vertex_count
+    components = bipartite = 0
+    for s in range(g.vertex_count):
+        if colour[s] >= 0:
+            continue
+        colour[s], stack, two_coloured = 0, [s], True
+        while stack:
+            v = stack.pop()
+            for w in neighbours[v]:
+                if colour[w] < 0:
+                    colour[w] = 1 - colour[v]
+                    stack.append(w)
+                elif colour[w] == colour[v]:
+                    two_coloured = False
+        components += 1
+        bipartite += two_coloured
+    return components, bipartite
+
+
+def _hashimoto_invariant(g):
+    """(G, a, b): H = P_J (T T^T - I), T the m x n tail incidence, leaves
+    W = {x(e) = f(tail e) + g(head e)} invariant, spanned by the columns
+    of G = [T, P_J T] (on the vertices with edges), and acts as -P_J on
+    V/W, so det(mu I - H) = (mu-1)^a (mu+1)^b det(mu I - H|_W) with
+    a = |pair| - |V| + c and b = |pair| + |half| - |V| + c_bip."""
+    counts = graph_counts(g)
+    c, c_bip = _component_counts(g)
+    _, tail = np.unique(g.tails, return_inverse=True)
+    r = int(tail.max()) + 1 if tail.size else 0
+    G = np.zeros((g.directed_edge_count, 2 * r), dtype=np.int64)
+    rows = np.arange(g.directed_edge_count)
+    G[rows, tail] = 1
+    G[rows, r + tail[g.involution]] = 1
+    a = counts.pairs - counts.vertices + c
+    b = counts.pairs + counts.half_loops - counts.vertices + c_bip
+    return G, a, b
+
+
+def _hashimoto_charpoly(g, limit):
+    """det(mu I - H) for H = hashimoto_matrix(g), exact, ascending.
+
+    H is checked exactly against the graph: H + P_J must equal
+    [head e = tail f].  Then Lanczos runs on H's invariant subspace W only
+    and (mu-1)^a (mu+1)^b, from the graph's counts, is multiplied in per
+    prime before the lift (_hashimoto_invariant).  An H that fails the
+    check takes the full-space charpoly of that H, with no involution
+    assumed, so a corrupted H still gives its own charpoly.
+    """
+    m = g.directed_edge_count
+    if m > limit:
+        raise TooLarge(f"exact char poly limited to {limit} directed edges")
+    H = hashimoto_matrix(g)
+    follows = H.copy()
+    follows[np.arange(m), g.involution] += 1
+    if not np.array_equal(follows, g.heads[:, None] == g.tails[None, :]):
+        return charpoly(H, limit=limit)
+    G, a, b = _hashimoto_invariant(g)
+    quotient = polys.mul(polys.pow_([-1, 1], a), polys.pow_([1, 1], b))
+    return charpoly(H, limit=limit, involution=g.involution, invariant=(G, quotient))
 
 
 def _quadratic_pencil_det(adj_poly, n, c):
@@ -172,9 +261,14 @@ def verify_ihara(g, limit=EXACT_CHARPOLY_LIMIT):
     i.e. the identity with exponent |pair| - |V| after clearing
     denominators; without half-loops it is the reversal of
     det(I - uH) = det(I - uA + u^2(d-1)I) (1-u^2)^(-chi).  The H side is
-    the modular charpoly of H itself (Lanczos over F_p for the form
-    x . y[involution], for which H is self-adjoint), never
-    hashimoto_char_poly, whose regular route is the A side.
+    _hashimoto_charpoly, never hashimoto_char_poly, whose regular route is
+    the A side: H itself is checked exactly (H + P_J = [head e = tail f]),
+    its charpoly on the invariant subspace W comes from Lanczos over F_p
+    for the form x . y[involution], and the quotient's (mu-1)^a (mu+1)^b
+    from the graph's vertex, pair, half-loop and component counts.  An H
+    that fails the check takes its full-space charpoly instead.  The limit
+    bounds |E^dir|; A's charpoly may come from the memo that
+    hashimoto_char_poly filled, when A's digest matches.
 
     Returns an IharaReport; raises IdentityViolation on mismatch.
     """
@@ -182,11 +276,11 @@ def verify_ihara(g, limit=EXACT_CHARPOLY_LIMIT):
     if d is None:
         raise MethodUnsupported("identity check needs a regular graph")
     counts = graph_counts(g)
-    lhs = charpoly(hashimoto_matrix(g), limit=limit, involution=g.involution)
+    lhs = _hashimoto_charpoly(g, limit)
     deficit = counts.vertices - counts.pairs
     if deficit > 0:
         lhs = polys.mul(polys.pow_([-1, 0, 1], deficit), lhs)
-    rhs = _pencil_side(charpoly(adjacency_matrix(g), limit=limit), d, counts)
+    rhs = _pencil_side(_adjacency_charpoly(g, limit), d, counts)
     if lhs != rhs:
         raise IdentityViolation("Ihara identity failed", lhs=lhs, rhs=rhs)
     return IharaReport(True, lhs, rhs, counts.half_loops, d)
@@ -222,11 +316,12 @@ def _scaled_poles(g, limit=DENSE_EIG_LIMIT):
 def evaluate_L(g, u, min_pole_distance=1e-12):
     """L(u) = sum over Spec(H) of 1/(u - mu/(d-1)).
 
-    Exact-rational u on a graph within the exact charpoly limit is
-    evaluated exactly through the charpoly logarithmic derivative; other
-    inputs go through the float spectrum.
+    Exact-rational u on a graph with at most EXACT_CHARPOLY_LIMIT vertices
+    (the bound of hashimoto_char_poly's regular route) is evaluated exactly
+    through the charpoly logarithmic derivative; other inputs go through
+    the float spectrum.
     """
-    if isinstance(u, (int, Fraction)) and g.directed_edge_count <= EXACT_CHARPOLY_LIMIT:
+    if isinstance(u, (int, Fraction)) and g.vertex_count <= EXACT_CHARPOLY_LIMIT:
         d = regularity(g)
         if d is None:
             raise MethodUnsupported("L is defined for regular graphs")

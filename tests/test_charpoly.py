@@ -539,3 +539,159 @@ def test_every_kept_prime_has_exact_residues():
             for p, r in zip(ps.tolist(), res.tolist()):
                 assert r == [c % p for c in exact], (i, p)
     assert dropped and finished >= 2 * len(cases)
+
+
+def test_coefficient_bound_int64_path_matches_python_ints():
+    """The int64 squares are taken only when m * max|entry|^2 < 2^63; on
+    either side of that boundary the bound equals the Python-int one."""
+    rng = np.random.default_rng(14)
+    signs = rng.choice([-1, 1], size=(512, 512))
+    cases = [
+        signs * 2 ** 26,                                    # 2^61 < 2^63: int64
+        signs * 2 ** 31,                                    # 2^71: Python ints
+        np.full((2, 2), 2 ** 31, dtype=np.int64),           # exactly 2^63: Python ints
+        np.array([[2 ** 31]], dtype=np.int64),              # 2^62: int64
+        np.array([[-(2 ** 63)]], dtype=np.int64),
+        rng.integers(-5, 6, size=(40, 40)),
+    ]
+    for M in cases:
+        M = np.asarray(M, dtype=np.int64)
+        assert coefficient_bound(M) == coefficient_bound(M.astype(object)), M.shape
+
+
+def _bipartite_complete(a, b):
+    left, right = np.meshgrid(np.arange(a), a + np.arange(b), indexing="ij")
+    return graph_from_pairs(a + b, left.ravel(), right.ravel())
+
+
+def _cycle(n):
+    return graph_from_pairs(n, np.arange(n), (np.arange(n) + 1) % n)
+
+
+def _cube():
+    v = np.arange(8)
+    a = np.concatenate([v[v & bit == 0] for bit in (1, 2, 4)])
+    return graph_from_pairs(8, a, np.concatenate([a[:4] | 1, a[4:8] | 2, a[8:] | 4]))
+
+
+def _invariant_corpus():
+    """Graphs whose H has a Lanczos block closing inside W (disjoint unions,
+    bipartite graphs, cycles), d = 1 and 2, half-loops and whole loops."""
+    from conftest import named_corpus
+
+    corpus = list(named_corpus())
+    corpus += [
+        ("K4 + K4", _disjoint_union(complete_graph(4), complete_graph(4))),
+        ("K3,3 + K4", _disjoint_union(_bipartite_complete(3, 3), complete_graph(4))),
+        ("K3,3", _bipartite_complete(3, 3)),
+        ("cube", _cube()),
+        ("C5", _cycle(5)),
+        ("C6", _cycle(6)),
+        ("C5 + C6", _disjoint_union(_cycle(5), _cycle(6))),
+        ("perfect matching", graph_from_pairs(6, [0, 2, 4], [1, 3, 5])),
+        ("bouquet(2,1)", build_bouquet(2, 1)),
+        ("irregular, half-loops and a whole loop",
+         graph_from_pairs(5, [0, 1, 2, 2, 3, 1], [1, 2, 3, 0, 3, 4], half_loops=[0, 4, 4])),
+        ("isolated vertex beside a triangle", graph_from_pairs(4, [0, 1, 2], [1, 2, 0])),
+    ]
+    for n in (3, 6):
+        corpus.append((f"bouquet(1,2) cover n={n}",
+                       sample_cover(build_bouquet(1, 2), n, seed=n).total))
+        corpus.append((f"bouquet(0,3) cover n={n}",
+                       sample_cover(build_bouquet(0, 3), n, seed=n).total))
+    corpus.append(("perm n=32 d=4", sample_permutation_model(32, 4, seed=1)))
+    corpus.append(("bouquet(1,1) cover n=43",
+                   sample_cover(build_bouquet(1, 1), 43, seed=1).total))
+    return corpus
+
+
+def _root_multiplicity(poly, x):
+    """Multiplicity of x as a root of the integer polynomial poly."""
+    k = 0
+    while poly and polys.evaluate(poly, x) == 0:
+        poly = polys.normalize([i * c for i, c in enumerate(poly)][1:])
+        k += 1
+    return k
+
+
+def test_invariant_subspace_route_matches_the_full_space():
+    """H's charpoly from Lanczos on W = {f(tail e) + g(head e)} times
+    (mu-1)^a (mu+1)^b equals the full-space charpoly (and Berkowitz where
+    small); a and b are the corank of the signed and unsigned incidence
+    within P_J's -1 and +1 eigenspaces, and the +-1 root multiplicities."""
+    for name, g in _invariant_corpus():
+        m = g.directed_edge_count
+        H = hashimoto_matrix(g)
+        full = charpoly(H, involution=g.involution)
+        assert zeta_mod._hashimoto_charpoly(g, 512) == full, name
+        if m <= 20:
+            assert full == charpoly_berkowitz(H), name
+        G, a, b = zeta_mod._hashimoto_invariant(g)
+        counts = graph_counts(g)
+        T, S = G[:, : G.shape[1] // 2], G[:, G.shape[1] // 2:]
+        rank = np.linalg.matrix_rank
+        assert a == counts.pairs - rank((T - S).astype(float)), name
+        assert b == counts.pairs + counts.half_loops - rank((T + S).astype(float)), name
+        assert m - a - b == rank(G.astype(float)), name
+        up, down = _root_multiplicity(full, 1), _root_multiplicity(full, -1)
+        assert up >= a and down >= b, name
+        if (regularity(g) or 0) >= 3:
+            # the pencil's roots at +-1 are simple and lie on ker [T, S]
+            assert (up, down) == (a, b), name
+
+
+def test_invariant_route_drops_unlucky_small_primes(monkeypatch):
+    """Over small primes the form on W degenerates, or a Lanczos vector
+    vanishes, for some primes; each kept prime holds the cofactor
+    det(xI - H|_W) mod p exactly, and the lifted result stays exact."""
+    corpus = _invariant_corpus()
+    dropped = finished = 0
+    for name, g in corpus[:12]:
+        H = hashimoto_matrix(g)
+        full = charpoly(H, involution=g.involution)
+        G, a, b = zeta_mod._hashimoto_invariant(g)
+        quotient = polys.mul(polys.pow_([-1, 1], a), polys.pow_([1, 1], b))
+        dim = g.directed_edge_count - a - b
+        for primes in ([3, 5, 7], [5, 7, 11, 13], [11, 13, 17, 19, 23]):
+            try:
+                ps, res = charpoly_mod._lanczos_residues(
+                    H, g.involution, primes, gens=G, dim=dim)
+            except LanczosBreakdown:
+                continue
+            finished += 1
+            dropped += len(primes) - len(ps)
+            for p, r in zip(ps.tolist(), res.tolist()):
+                assert polys.normalize([c % p for c in polys.mul(r, quotient)]) == \
+                    polys.normalize([c % p for c in full]), (name, p)
+    assert dropped and finished
+    monkeypatch.setattr(charpoly_mod, "_PRIMES", [3, 5, 7, 11] + charpoly_mod._PRIMES)
+    for name, g in corpus:
+        expected = charpoly(hashimoto_matrix(g), involution=g.involution)
+        assert zeta_mod._hashimoto_charpoly(g, 512) == expected, name
+
+
+def test_invariant_argument_validation():
+    g = petersen_graph()
+    H = hashimoto_matrix(g)
+    G, a, b = zeta_mod._hashimoto_invariant(g)
+    quotient = polys.mul(polys.pow_([-1, 1], a), polys.pow_([1, 1], b))
+    with pytest.raises(ValueError):     # not self-adjoint without the involution
+        charpoly(H, invariant=(G, quotient))
+    with pytest.raises(ValueError):
+        charpoly(H, involution=g.involution, invariant=(G, [1, 2]))
+    with pytest.raises(ValueError):
+        charpoly(H, involution=g.involution, invariant=(G[:-1], quotient))
+    with pytest.raises(ValueError):
+        charpoly(H, involution=g.involution, invariant=(G * 2 ** 26, quotient))
+    with pytest.raises(ValueError):
+        charpoly(H, involution=g.involution, invariant=(G.astype(float), quotient))
+    # a stated dim W beyond the span of G runs out of start vectors
+    with pytest.raises(LanczosBreakdown):
+        charpoly(H, involution=g.involution, invariant=(G, quotient[a:]))
+    # W = the whole space, spanned by the identity, with nothing to multiply in
+    eye = np.eye(H.shape[0], dtype=np.int64)
+    assert charpoly(H, involution=g.involution, invariant=(eye, [1])) == \
+        charpoly(H, involution=g.involution)
+    # W = 0: the quotient is the whole charpoly
+    assert charpoly(np.diag([2, 3]), invariant=(np.zeros((2, 1), dtype=int), [6, -5, 1])) \
+        == [6, -5, 1]

@@ -8,6 +8,7 @@ from nbzeta import (
     IdentityViolation,
     NearContourPole,
     NearPole,
+    TooLarge,
     build_bouquet,
     build_graph,
     cP0_residues,
@@ -20,6 +21,7 @@ from nbzeta import (
     hashimoto_char_poly,
     integrate_circle,
     minus_zeta_log_derivative,
+    sample_cover,
     sample_permutation_model,
     verify_ihara,
 )
@@ -117,6 +119,116 @@ def test_verify_ihara_independent_of_char_poly_route(monkeypatch):
         assert verify_ihara(g).holds
         m = g.directed_edge_count
         assert shapes.count((m, m)) == 1, shapes
+
+
+def _flip_graphs():
+    from nbzeta import petersen_graph
+
+    g = sample_permutation_model(32, 4, seed=1)
+    assert g.directed_edge_count == 128
+    return [complete_graph(4), petersen_graph(), g]
+
+
+@pytest.mark.parametrize("entry", ["diagonal", "off-diagonal"])
+def test_flipped_hashimoto_entry_violates_the_identity(monkeypatch, entry):
+    import nbzeta.zeta as zeta_mod
+
+    real = zeta_mod.hashimoto_matrix
+
+    def flipped(g):
+        H = real(g)
+        j = 0 if entry == "diagonal" else H.shape[0] - 1
+        H[0, j] ^= 1
+        return H
+
+    for g in _flip_graphs():
+        assert verify_ihara(g).holds
+        monkeypatch.setattr(zeta_mod, "hashimoto_matrix", flipped)
+        with pytest.raises(IdentityViolation):
+            verify_ihara(g)
+        monkeypatch.setattr(zeta_mod, "hashimoto_matrix", real)
+
+
+def test_flipped_adjacency_pair_violates_the_identity(monkeypatch):
+    import nbzeta.zeta as zeta_mod
+
+    real = zeta_mod.adjacency_matrix
+
+    def flipped(g):
+        A = real(g)
+        A[0, 1] ^= 1
+        A[1, 0] ^= 1
+        return A
+
+    for g in _flip_graphs():
+        hashimoto_char_poly(g)
+        assert verify_ihara(g).holds
+        monkeypatch.setattr(zeta_mod, "adjacency_matrix", flipped)
+        with pytest.raises(IdentityViolation):
+            verify_ihara(g)
+        monkeypatch.setattr(zeta_mod, "adjacency_matrix", real)
+        assert verify_ihara(g).holds
+
+
+def test_one_adjacency_charpoly_per_graph(monkeypatch):
+    """hashimoto_char_poly then verify_ihara: one n x n and one m x m
+    charpoly; the memo never serves one graph's A to another."""
+    import nbzeta.zeta as zeta_mod
+
+    shapes = []
+    real = zeta_mod.charpoly
+
+    def recording(M, limit, **kw):
+        shapes.append(M.shape)
+        return real(M, limit=limit, **kw)
+
+    monkeypatch.setattr(zeta_mod, "_adjacency_memo", (None, None))
+    monkeypatch.setattr(zeta_mod, "charpoly", recording)
+    for g in (complete_graph(4), sample_permutation_model(32, 4, seed=3),
+              sample_cover(build_bouquet(1, 1), 43, seed=2).total):
+        n, m = g.vertex_count, g.directed_edge_count
+        shapes.clear()
+        hashimoto_char_poly(g)
+        assert verify_ihara(g).holds
+        assert sorted(shapes) == sorted([(n, n), (m, m)]), shapes
+
+    pair = [sample_permutation_model(32, 4, seed=s) for s in (4, 5)]
+    expected = []
+    for g in pair:
+        monkeypatch.setattr(zeta_mod, "_adjacency_memo", (None, None))
+        expected.append(hashimoto_char_poly(g))
+    assert expected[0] != expected[1]
+    for i in range(6):
+        assert hashimoto_char_poly(pair[i % 2]) == expected[i % 2]
+        assert verify_ihara(pair[i % 2]).holds
+        assert hashimoto_char_poly(pair[i % 2]) == expected[i % 2]
+
+
+def test_regular_route_bounds_vertices_not_edges():
+    from nbzeta.traces import tr_hashimoto_power
+
+    g = sample_permutation_model(160, 4, seed=1)
+    m = g.directed_edge_count
+    assert m == 640
+    mu_poly, u_poly = hashimoto_char_poly(g)
+    assert len(mu_poly) == m + 1 and mu_poly[-1] == 1
+    assert u_poly == polys.reciprocal(mu_poly, degree=m)
+    # Newton's identities: k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i
+    p = [None] + [tr_hashimoto_power(g, k) for k in range(1, 5)]
+    e = [1]
+    for k in range(1, 5):
+        s = sum((-1) ** (i - 1) * e[k - i] * p[i] for i in range(1, k + 1))
+        assert s % k == 0
+        e.append(s // k)
+    assert [mu_poly[m - k] for k in range(1, 5)] == [(-1) ** k * e[k] for k in range(1, 5)]
+    # the exact branch of evaluate_L follows the same bound
+    exact = evaluate_L(g, 3)
+    assert isinstance(exact, Fraction)
+    assert abs(float(exact) - evaluate_L(g, 3.0)) < 1e-9 * abs(float(exact))
+    with pytest.raises(TooLarge):
+        verify_ihara(g)
+    with pytest.raises(TooLarge):
+        hashimoto_char_poly(sample_permutation_model(513, 4, seed=1))
 
 
 def test_essential_series_examples():
