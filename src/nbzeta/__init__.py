@@ -9,7 +9,6 @@ from .errors import (
     InvalidInvolution,
     InvalidParams,
     LanczosBreakdown,
-    MethodUnsupported,
     NbzetaError,
     NearContourPole,
     NearPole,
@@ -46,7 +45,6 @@ from .spectra import (
     classify_non_ramanujan,
     count_adjacency_eigenvalues_geq,
     hashimoto_spectrum,
-    is_epsilon_spectral,
     new_spectra,
     spectrum_report,
 )

@@ -71,7 +71,7 @@ class CensusConfig:
     master_seed: int
     mode: str = "at_least_2sqrt"    # or "strict_nonramanujan"
     base_graph_text: str = None     # required for cover
-    threshold_tol: float = None     # default 1e-9 * d
+    threshold_tol: float = None     # default: default_tolerances(d)
     workers: int = 1
 
     def validate(self):
@@ -85,8 +85,10 @@ class CensusConfig:
             raise InvalidParams("samples must be >= 1")
         if self.n < 1:
             raise InvalidParams("n must be >= 1")
-        if self.threshold_tol is not None and self.threshold_tol < 0:
-            raise InvalidParams("threshold_tol must be >= 0")
+        if self.threshold_tol is not None and not 0 <= self.threshold_tol < math.inf:
+            raise InvalidParams(
+                f"threshold_tol must be finite and >= 0, not {self.threshold_tol!r}"
+            )
         if self.model == "perm" and (self.d % 2 or self.d < 4):
             raise InvalidParams("perm model needs even d >= 4")
         if self.model == "cycle" and (self.d % 2 or self.d < 4 or self.n < 2):
@@ -202,7 +204,9 @@ def run_census(config, out_path=None, progress=None):
     """
     base = config.validate()
     d, mode = config.d, config.mode
-    tol = config.threshold_tol if config.threshold_tol is not None else 1e-9 * d
+    tol = config.threshold_tol
+    if tol is None:
+        _, _, tol = default_tolerances(d)
     # a cover counts its new spectrum: the total's count less the base's
     offset = 0 if base is None else _count(
         _top_eigenvalues(base, d, tol, config.master_seed), d, mode, tol

@@ -9,8 +9,8 @@ so the result is exact, never heuristic.
 Lanczos needs a symmetric bilinear form for which M is self-adjoint.  An
 integer matrix with M^T = M[J][:, J] for an involutive permutation J (the
 identity for a symmetric M, the edge involution for a Hashimoto matrix) is
-self-adjoint for <x, y> = x . y[J].  From a start vector v_0 the
-recurrence
+self-adjoint for <x, y> = x . y[J]; charpoly takes no other matrix.
+From a start vector v_0 the recurrence
 
     v_{j+1} = M v_j - a_j v_j - b_j v_{j-1},
     a_j = <M v_j, v_j> / <v_j, v_j>,   b_j = <v_j, v_j> / <v_{j-1}, v_{j-1}>,
@@ -34,10 +34,6 @@ above.  A norm that vanishes for every prime is taken for an isotropic
 vector: the block restarts from a fresh vector, at most _MAX_RESTARTS
 times per batch.  Start vectors come from a fixed seed; the result does
 not depend on it.
-
-Any other matrix runs as M + M^T (direct sum), self-adjoint for the
-involution that swaps the halves; its charpoly is charpoly(M)^2, and each
-prime takes the monic square root.
 
 Invariant subspaces.  When the caller knows an M-invariant subspace W,
 spanned by the integer columns of G, and the charpoly f of M on the
@@ -237,20 +233,6 @@ def _lanczos_residues(M, J, primes, gens=None, dim=None):
     return ps, q
 
 
-def _monic_sqrt(sq, ps):
-    """The monic f of degree n/2 with f^2 = sq mod each prime, ascending;
-    top down, 2 f_k = s_k - sum_{0<i<k} f_i f_{k-i} in descending order."""
-    half = (sq.shape[1] - 1) // 2
-    s = sq[:, ::-1]
-    f = np.zeros((len(ps), half + 1), dtype=np.int64)
-    f[:, 0] = 1
-    inv2 = (ps + 1) // 2
-    for k in range(1, half + 1):
-        cross = (f[:, 1:k] * f[:, k - 1:0:-1]).sum(axis=1)
-        f[:, k] = (s[:, k] - cross) % ps * inv2 % ps
-    return f[:, ::-1]
-
-
 def _crt_lift(residues, primes):
     """Symmetric CRT lift of the rows of residues (one per prime) to signed
     ints: Garner's mixed-radix digits, one inverse per prime, vectorized
@@ -297,49 +279,45 @@ def _generators(invariant, m):
     return G.astype(np.int64), quotient, m + 1 - len(quotient)
 
 
-def charpoly(M, limit=EXACT_CHARPOLY_LIMIT, involution=None, invariant=None):
-    """Exact det(xI - M) for an integer matrix, ascending coefficients.
+def charpoly(M, involution=None, invariant=None):
+    """Exact det(xI - M) for an integer matrix M that is self-adjoint for
+    <x, y> = x . y[J], ascending coefficients.
 
     involution: a permutation J with J[J] = identity and M^T = M[J][:, J]
-    (for a Hashimoto matrix, the graph's edge involution).  Without one, a
-    symmetric M takes the identity and any other M runs as M + M^T.
+    (for a Hashimoto matrix, the graph's edge involution).  Without one, M
+    must be symmetric and J is the identity.  Any other matrix raises
+    ValueError, and one with more than EXACT_CHARPOLY_LIMIT rows TooLarge.
 
-    invariant: (G, quotient) for a self-adjoint M (an involution, or M
-    symmetric): the integer columns of G span an M-invariant subspace W
-    and quotient is det(xI - M) on the quotient space, ascending.  Lanczos
-    then runs in W only; see the module docstring.
+    invariant: (G, quotient): the integer columns of G span an M-invariant
+    subspace W and quotient is det(xI - M) on the quotient space,
+    ascending.  Lanczos then runs in W only; see the module docstring.
     """
     M = _integer_matrix(M)
     m = M.shape[0]
-    if m > limit:
-        raise TooLarge(f"exact charpoly limited to {limit}x{limit}")
+    if m > EXACT_CHARPOLY_LIMIT:
+        raise TooLarge(f"exact charpoly limited to {EXACT_CHARPOLY_LIMIT} rows")
     if m == 0:
         return [1]
     ident = np.arange(m)
-    doubled = False
-    if involution is not None:
+    if involution is None:
+        J = ident
+        if not np.array_equal(M, M.T):
+            raise ValueError("matrix is neither symmetric nor given an involution")
+    else:
         J = np.asarray(involution, dtype=np.int64)
         if J.shape != (m,) or not np.array_equal(np.sort(J), ident) \
                 or not np.array_equal(J[J], ident):
             raise ValueError("involution must be an involutive permutation")
         if not np.array_equal(M.T, M[np.ix_(J, J)]):
             raise ValueError("matrix is not self-adjoint for the involution")
-        K = M
-    elif np.array_equal(M, M.T):
-        J, K = ident, M
-    else:
-        J, doubled = np.concatenate([ident + m, ident]), True
-        K = np.block([[M, np.zeros_like(M)], [np.zeros_like(M), M.T]])
-    subspace, quotient, dim = {}, [1], K.shape[0]
+    subspace, quotient, dim = {}, [1], m
     if invariant is not None:
-        if doubled:
-            raise ValueError("an invariant subspace needs a self-adjoint matrix")
         G, quotient, dim = _generators(invariant, m)
         if dim == 0:
             return quotient
         subspace = dict(gens=G, dim=dim)
     target = 2 * coefficient_bound(M) + 1
-    depth = max(1, _VECTOR_BUDGET // (dim * K.shape[0]))
+    depth = max(1, _VECTOR_BUDGET // (dim * m))
     pool = iter(_PRIMES)
     primes, residues, modulus = [], [], 1
     while modulus <= target:
@@ -350,9 +328,7 @@ def charpoly(M, limit=EXACT_CHARPOLY_LIMIT, involution=None, invariant=None):
                 break
         if not batch:
             raise TooLarge("prime pool exhausted; matrix entries too large")
-        ps, res = _lanczos_residues(K, J, batch, **subspace)
-        if doubled:
-            res = _monic_sqrt(res, ps)
+        ps, res = _lanczos_residues(M, J, batch, **subspace)
         primes += ps.tolist()
         residues.append(_times(res, quotient, ps))
         modulus *= prod(ps.tolist())

@@ -64,15 +64,12 @@ def _contour_spec(text):
     try:
         eps, delta, sign, points = (f.strip() for f in text.split(","))
         spec = ContourSpec(float(eps), float(delta), _SIGNS[sign], int(points))
+        spec.validate()
     except (ValueError, KeyError):
-        spec = None
-    if spec is None or not all(
-        v > 0 for v in (spec.eps, spec.delta, spec.quadrature_points)
-    ):
         raise argparse.ArgumentTypeError(
-            "expected eps,delta,sign,points: eps, delta and points positive, "
-            f"sign one of {' '.join(_SIGNS)}"
-        )
+            "expected eps,delta,sign,points: eps and delta finite and positive, "
+            f"points positive, sign one of {' '.join(_SIGNS)}"
+        ) from None
     return spec
 
 

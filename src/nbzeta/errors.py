@@ -24,15 +24,12 @@ class ParseError(NbzetaError):
 
 
 class InvalidParams(NbzetaError):
-    """Model parameters violate a sampler precondition."""
+    """Parameters violate a precondition: a sampler's, or a computation's
+    on its graph (one that needs a regular graph, or d >= 2)."""
 
 
 class TooLarge(NbzetaError):
     """Input exceeds a documented size limit for this operation."""
-
-
-class MethodUnsupported(NbzetaError):
-    """Requested computation method does not apply to this graph."""
 
 
 class NearPole(NbzetaError):

@@ -207,6 +207,8 @@ def parse_graph(text):
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise ParseError("size line must hold two integers", line=2)
+    if n < 0 or m < 0:
+        raise ParseError("size line counts must be nonnegative", line=2)
     if len(lines) < 2 + m:
         raise ParseError(f"expected {m} edge lines", line=len(lines) + 1)
     edges, inv = [], []

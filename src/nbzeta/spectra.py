@@ -28,7 +28,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (
     FactorizationBreakdown,
-    MethodUnsupported,
+    InvalidParams,
     TooLarge,
     UncertainCount,
 )
@@ -75,11 +75,11 @@ class NonRamanujanReport:
         )
 
 
-def adjacency_spectrum(g, limit=DENSE_EIG_LIMIT):
-    """All adjacency eigenvalues, descending."""
-    if g.vertex_count > limit:
+def adjacency_spectrum(g):
+    """All adjacency eigenvalues, descending; n <= DENSE_EIG_LIMIT."""
+    if g.vertex_count > DENSE_EIG_LIMIT:
         raise TooLarge(
-            f"dense eigensolve limited to {limit} vertices; "
+            f"dense eigensolve limited to {DENSE_EIG_LIMIT} vertices; "
             "use count_adjacency_eigenvalues_geq"
         )
     if g.vertex_count == 0:
@@ -218,18 +218,19 @@ def count_adjacency_eigenvalues_geq(g, t, tol, limit=DENSE_EIG_LIMIT):
     raise FactorizationBreakdown("persistent zero pivots at jittered shifts")
 
 
-def hashimoto_spectrum(g, limit=DENSE_EIG_LIMIT):
+def hashimoto_spectrum(g):
     """Complex multiset (array) of Hashimoto eigenvalues.
 
-    Regular graphs: the Ihara map of the adjacency spectrum (n <= limit).
-    Irregular graphs: dense eigensolve of the Hashimoto matrix (m <= limit).
+    Regular graphs: the Ihara map of the adjacency spectrum
+    (n <= DENSE_EIG_LIMIT).  Irregular graphs: dense eigensolve of the
+    Hashimoto matrix (m <= DENSE_EIG_LIMIT).
     """
     d = regularity(g)
     if d is not None:
-        return _ihara_roots(adjacency_spectrum(g, limit=limit), d, *_loop_counts(g))
+        return _ihara_roots(adjacency_spectrum(g), d, *_loop_counts(g))
     m = g.directed_edge_count
-    if m > limit:
-        raise TooLarge(f"dense Hashimoto eigensolve limited to {limit} edges")
+    if m > DENSE_EIG_LIMIT:
+        raise TooLarge(f"dense Hashimoto eigensolve limited to {DENSE_EIG_LIMIT} edges")
     return np.linalg.eigvals(hashimoto_matrix(g).astype(float)).astype(complex)
 
 
@@ -257,11 +258,11 @@ def _ihara_roots(lam, d, half, extra):
     return roots.astype(complex)
 
 
-def spectrum_report(g, limit=DENSE_EIG_LIMIT):
+def spectrum_report(g):
     d = regularity(g)
     if d is None:
-        raise MethodUnsupported("spectrum reports need a regular graph")
-    adj = adjacency_spectrum(g, limit=limit)
+        raise InvalidParams("spectrum reports need a regular graph")
+    adj = adjacency_spectrum(g)
     mu = _ihara_roots(adj, d, *_loop_counts(g))
     return SpectrumReport(adjacency_eigenvalues=adj, hashimoto_eigenvalues=mu, d=d)
 
@@ -314,26 +315,6 @@ def classify_non_ramanujan(report, real_tol=None, special_tol=None):
     )
 
 
-def is_epsilon_spectral(report, eps, real_tol=None, special_tol=None):
-    """True iff every real Hashimoto eigenvalue is a special value or lies
-    within relative eps of +-sqrt(d-1) (sign-symmetric reading)."""
-    d = report.d
-    rt, st, _ = default_tolerances(d)
-    real_tol = rt if real_tol is None else real_tol
-    special_tol = st if special_tol is None else special_tol
-    sq = np.sqrt(d - 1.0)
-    special = (1.0, -1.0, float(d - 1), -float(d - 1))
-    for mu in report.hashimoto_eigenvalues:
-        if abs(mu.imag) > real_tol:
-            continue
-        x = mu.real
-        if any(abs(x - s) <= special_tol for s in special):
-            continue
-        if abs(1.0 - abs(x) / sq) >= eps:
-            return False
-    return True
-
-
 def _fibre_sum_zero_basis(fibre_of, size):
     """Orthonormal columns spanning the vectors that sum to zero on every
     fibre; coordinate i lies in fibre fibre_of[i], of `size` coordinates."""
@@ -343,7 +324,7 @@ def _fibre_sum_zero_basis(fibre_of, size):
     return Q
 
 
-def new_spectra(c, limit=DENSE_EIG_LIMIT):
+def new_spectra(c):
     """(new adjacency, new Hashimoto) spectra of a covering map: the total
     graph's spectra with the base's removed.
 
@@ -355,18 +336,20 @@ def new_spectra(c, limit=DENSE_EIG_LIMIT):
     sum pi over edge fibres has pi H = H_base pi, so its kernel, the edge
     vectors summing to zero on every edge fibre, is H-invariant and H acts
     as H_base on the quotient; the new spectrum is that of Q_E^T H Q_E.
+    DENSE_EIG_LIMIT bounds the total's vertices, and for an irregular base
+    its directed edges.
     """
     total, base, n = c.total, c.base, c.degree
-    if total.vertex_count > limit:
-        raise TooLarge(f"dense eigensolve limited to {limit} vertices")
+    if total.vertex_count > DENSE_EIG_LIMIT:
+        raise TooLarge(f"dense eigensolve limited to {DENSE_EIG_LIMIT} vertices")
     Q = _fibre_sum_zero_basis(c.vertex_map, n)
     new_adj = np.linalg.eigvalsh(Q.T @ adjacency_matrix(total) @ Q)[::-1]
     d = regularity(base)
     if d is not None:
         half, extra = np.subtract(_loop_counts(total), _loop_counts(base))
         return new_adj, _ihara_roots(new_adj, d, half, extra)
-    if total.directed_edge_count > limit:
-        raise TooLarge(f"dense Hashimoto eigensolve limited to {limit} edges")
+    if total.directed_edge_count > DENSE_EIG_LIMIT:
+        raise TooLarge(f"dense Hashimoto eigensolve limited to {DENSE_EIG_LIMIT} edges")
     Q = _fibre_sum_zero_basis(c.edge_map, n)
     new_hsh = np.linalg.eigvals(Q.T @ hashimoto_matrix(total) @ Q)
     return new_adj, new_hsh.astype(complex)

@@ -16,6 +16,7 @@ whose poles are +-1 (residue -chi) and +-1/(d-1).
 """
 
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,13 +26,13 @@ from . import polys
 from .charpoly import EXACT_CHARPOLY_LIMIT, charpoly
 from .errors import (
     IdentityViolation,
-    MethodUnsupported,
+    InvalidParams,
     NearContourPole,
     NearPole,
     TooLarge,
 )
 from .graphs import adjacency_matrix, graph_counts, hashimoto_matrix, regularity
-from .spectra import DENSE_EIG_LIMIT, hashimoto_spectrum
+from .spectra import hashimoto_spectrum
 from .traces import tr_hashimoto_power
 
 
@@ -43,6 +44,20 @@ class ContourSpec:
     delta: float
     sign: int = +1
     quadrature_points: int = 512
+
+    def validate(self):
+        """Raise ValueError unless eps and delta are finite and positive,
+        sign is +1 or -1 and quadrature_points is an integer >= 1."""
+        for name in ("eps", "delta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, not {value!r}")
+        if self.sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, not {self.sign!r}")
+        points = self.quadrature_points
+        if not isinstance(points, (int, np.integer)) or points < 1:
+            raise ValueError(
+                f"quadrature_points must be an integer >= 1, not {points!r}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +101,7 @@ class ResidueReport:
         }
 
 
-def hashimoto_char_poly(g, limit=EXACT_CHARPOLY_LIMIT):
+def hashimoto_char_poly(g):
     """(det(mu I - H), det(I - u H)) as exact ascending coefficient lists.
 
     Two routes, both exact.  A regular graph with edges takes the Ihara
@@ -97,11 +112,12 @@ def hashimoto_char_poly(g, limit=EXACT_CHARPOLY_LIMIT):
 
     with a negative exponent an exact division; H is never built, A's
     charpoly comes from modular Lanczos for the standard form (shared with
-    verify_ihara through a one-entry memo keyed by a digest of A), and the
-    limit bounds n.  An irregular graph (or one without edges, whose H is
-    empty) takes _hashimoto_charpoly, the modular charpoly of H itself:
-    Lanczos on H's invariant subspace W, the rest from the graph's counts
-    once H has passed an exact check; there the limit bounds |E^dir|.
+    verify_ihara through a one-entry memo keyed by a digest of A), and
+    EXACT_CHARPOLY_LIMIT bounds n.  An irregular graph (or one without
+    edges, whose H is empty) takes _hashimoto_charpoly, the modular
+    charpoly of H itself: Lanczos on H's invariant subspace W, the rest
+    from the graph's counts once H has passed an exact check; there
+    EXACT_CHARPOLY_LIMIT bounds |E^dir|.
 
     The two are coefficient reversals of one another since det(mu I - H)
     is monic of degree |E^dir|.
@@ -109,11 +125,11 @@ def hashimoto_char_poly(g, limit=EXACT_CHARPOLY_LIMIT):
     m = g.directed_edge_count
     d = regularity(g)
     if not d:
-        mu_poly = _hashimoto_charpoly(g, limit)
+        mu_poly = _hashimoto_charpoly(g)
     else:
         counts = graph_counts(g)
         mu_poly = _divide_by_mu2_minus_1(
-            _pencil_side(_adjacency_charpoly(g, limit), d, counts),
+            _pencil_side(_adjacency_charpoly(g), d, counts),
             counts.vertices - counts.pairs,
         )
     u_poly = polys.reciprocal(mu_poly, degree=m)
@@ -126,18 +142,18 @@ def hashimoto_char_poly(g, limit=EXACT_CHARPOLY_LIMIT):
 _adjacency_memo = (None, None)
 
 
-def _adjacency_charpoly(g, limit):
+def _adjacency_charpoly(g):
     """det(xI - A) for A = adjacency_matrix(g), from the memo when the
     digest of A's bytes and shape matches the last A; a changed A misses.
-    The limit bounds n, before A is built."""
+    EXACT_CHARPOLY_LIMIT bounds n, before A is built."""
     global _adjacency_memo
-    if g.vertex_count > limit:
-        raise TooLarge(f"exact char poly limited to {limit} vertices")
+    if g.vertex_count > EXACT_CHARPOLY_LIMIT:
+        raise TooLarge(f"exact char poly limited to {EXACT_CHARPOLY_LIMIT} vertices")
     A = adjacency_matrix(g)
     key = (A.shape, A.dtype.str, hashlib.blake2b(A.tobytes()).digest())
     memo = _adjacency_memo
     if memo[0] != key:
-        memo = _adjacency_memo = (key, tuple(charpoly(A, limit=limit)))
+        memo = _adjacency_memo = (key, tuple(charpoly(A)))
     return list(memo[1])
 
 
@@ -186,27 +202,27 @@ def _hashimoto_invariant(g):
     return G, a, b
 
 
-def _hashimoto_charpoly(g, limit):
+def _hashimoto_charpoly(g):
     """det(mu I - H) for H = hashimoto_matrix(g), exact, ascending.
 
     H is checked exactly against the graph: H + P_J must equal
-    [head e = tail f].  Then Lanczos runs on H's invariant subspace W only
-    and (mu-1)^a (mu+1)^b, from the graph's counts, is multiplied in per
-    prime before the lift (_hashimoto_invariant).  An H that fails the
-    check takes the full-space charpoly of that H, with no involution
-    assumed, so a corrupted H still gives its own charpoly.
+    [head e = tail f], else IdentityViolation.  Then Lanczos runs on H's
+    invariant subspace W only and (mu-1)^a (mu+1)^b, from the graph's
+    counts, is multiplied in per prime before the lift
+    (_hashimoto_invariant).  EXACT_CHARPOLY_LIMIT bounds |E^dir|.
     """
     m = g.directed_edge_count
-    if m > limit:
-        raise TooLarge(f"exact char poly limited to {limit} directed edges")
+    if m > EXACT_CHARPOLY_LIMIT:
+        raise TooLarge(
+            f"exact char poly limited to {EXACT_CHARPOLY_LIMIT} directed edges")
     H = hashimoto_matrix(g)
     follows = H.copy()
     follows[np.arange(m), g.involution] += 1
     if not np.array_equal(follows, g.heads[:, None] == g.tails[None, :]):
-        return charpoly(H, limit=limit)
+        raise IdentityViolation("Hashimoto matrix fails H + P_J = [head e = tail f]")
     G, a, b = _hashimoto_invariant(g)
     quotient = polys.mul(polys.pow_([-1, 1], a), polys.pow_([1, 1], b))
-    return charpoly(H, limit=limit, involution=g.involution, invariant=(G, quotient))
+    return charpoly(H, involution=g.involution, invariant=(G, quotient))
 
 
 def _quadratic_pencil_det(adj_poly, n, c):
@@ -252,7 +268,7 @@ def _divide_by_mu2_minus_1(p, times):
     return p
 
 
-def verify_ihara(g, limit=EXACT_CHARPOLY_LIMIT):
+def verify_ihara(g):
     """Check the determinant identity linking H and A coefficient-exactly.
 
     det(mu I - H) (mu^2-1)^max(0, |V|-|pair|) =
@@ -266,7 +282,7 @@ def verify_ihara(g, limit=EXACT_CHARPOLY_LIMIT):
     its charpoly on the invariant subspace W comes from Lanczos over F_p
     for the form x . y[involution], and the quotient's (mu-1)^a (mu+1)^b
     from the graph's vertex, pair, half-loop and component counts.  An H
-    that fails the check takes its full-space charpoly instead.  The limit
+    that fails the check raises IdentityViolation.  EXACT_CHARPOLY_LIMIT
     bounds |E^dir|; A's charpoly may come from the memo that
     hashimoto_char_poly filled, when A's digest matches.
 
@@ -274,13 +290,13 @@ def verify_ihara(g, limit=EXACT_CHARPOLY_LIMIT):
     """
     d = regularity(g)
     if d is None:
-        raise MethodUnsupported("identity check needs a regular graph")
+        raise InvalidParams("identity check needs a regular graph")
     counts = graph_counts(g)
-    lhs = _hashimoto_charpoly(g, limit)
+    lhs = _hashimoto_charpoly(g)
     deficit = counts.vertices - counts.pairs
     if deficit > 0:
         lhs = polys.mul(polys.pow_([-1, 0, 1], deficit), lhs)
-    rhs = _pencil_side(_adjacency_charpoly(g, limit), d, counts)
+    rhs = _pencil_side(_adjacency_charpoly(g), d, counts)
     if lhs != rhs:
         raise IdentityViolation("Ihara identity failed", lhs=lhs, rhs=rhs)
     return IharaReport(True, lhs, rhs, counts.half_loops, d)
@@ -290,7 +306,7 @@ def essential_log_derivative_coeffs(g, K):
     """SeriesAtInfinity with c_k = Tr(H^k)(d-1)^(-k), k = 0..K, exact."""
     d = regularity(g)
     if d is None:
-        raise MethodUnsupported("series needs a regular graph")
+        raise InvalidParams("series needs a regular graph")
     if K < 0:
         raise ValueError("K must be nonnegative")
     coeffs = []
@@ -302,15 +318,15 @@ def essential_log_derivative_coeffs(g, K):
     return SeriesAtInfinity(coefficients=tuple(coeffs), truncation=K, d=d)
 
 
-def _scaled_poles(g, limit=DENSE_EIG_LIMIT):
+def _scaled_poles(g):
     """Poles of L: Hashimoto eigenvalues divided by d-1."""
     d = regularity(g)
     if d is None:
-        raise MethodUnsupported("L is defined for regular graphs")
+        raise InvalidParams("L is defined for regular graphs")
     if d == 1:
         # H = 0 for 1-regular graphs; every scaled eigenvalue is 0
         return np.zeros(g.directed_edge_count, dtype=complex), d
-    return hashimoto_spectrum(g, limit=limit) / (d - 1), d
+    return hashimoto_spectrum(g) / (d - 1), d
 
 
 def evaluate_L(g, u, min_pole_distance=1e-12):
@@ -324,7 +340,7 @@ def evaluate_L(g, u, min_pole_distance=1e-12):
     if isinstance(u, (int, Fraction)) and g.vertex_count <= EXACT_CHARPOLY_LIMIT:
         d = regularity(g)
         if d is None:
-            raise MethodUnsupported("L is defined for regular graphs")
+            raise InvalidParams("L is defined for regular graphs")
         if d == 1:
             if u == 0:
                 raise NearPole("u = 0 is the pole of L for 1-regular graphs")
@@ -367,9 +383,10 @@ class RationalRemainder:
     def __call__(self, u):
         n, d = self.n, self.d
         u = Fraction(u) if isinstance(u, (int, Fraction)) else complex(u)
-        a = u / (u * u - 1)
-        b = (d - 1) ** 2 * u / ((d - 1) ** 2 * u * u - 1)
-        return n * (d - 2) * (a - b)
+        den_a, den_b = u * u - 1, (d - 1) ** 2 * u * u - 1
+        if den_a == 0 or den_b == 0:
+            raise NearPole(f"u = {u} is a pole of e")
+        return n * (d - 2) * (u / den_a - (d - 1) ** 2 * u / den_b)
 
     @property
     def poles(self):
@@ -434,13 +451,13 @@ def contour_pole_count(g, spec, pole_clearance=None):
     NearContourPole.  The default is 3 quadrature steps of the longer side:
     the trapezoid error near a pole at distance rho is about
     exp(-2 pi rho / step), so a nearer pole could give a wrong count.
+    A spec that fails ContourSpec.validate raises ValueError first.
     """
+    spec.validate()
     poles, d = _scaled_poles(g)
     if d < 2:
-        raise MethodUnsupported("contour counting needs d >= 2")
+        raise InvalidParams("contour counting needs d >= 2")
     corners = _rectangle_corners(spec, d)
-    if spec.eps <= 0 or spec.delta <= 0:
-        raise ValueError("eps and delta must be positive")
     N = spec.quadrature_points
     if pole_clearance is None:
         longer = max(abs(corners[1] - corners[0]), abs(corners[3] - corners[0]))

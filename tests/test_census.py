@@ -108,6 +108,17 @@ def test_config_rejects_strict_mode_above_dense_limit():
 def test_config_rejects_negative_threshold_tol():
     with pytest.raises(InvalidParams):
         _cfg(threshold_tol=-1.0).validate()
+
+
+def test_config_rejects_non_finite_threshold_tol(monkeypatch):
+    def never(*args):
+        raise AssertionError("sampled before validation")
+
+    monkeypatch.setattr(census_module, "_one_sample", never)
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(InvalidParams, match="finite"):
+            run_census(_cfg(threshold_tol=tol))
+    _cfg(threshold_tol=0.0).validate()
     _cfg(threshold_tol=0.0).validate()
 
 

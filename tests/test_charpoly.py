@@ -38,15 +38,21 @@ def test_charpoly_matches_berkowitz_random():
     for trial in range(12):
         m = int(rng.integers(1, 14))
         M = rng.integers(-6, 7, size=(m, m))
-        assert charpoly(M) == charpoly_berkowitz(M), f"trial {trial}"
+        S = M + M.T
+        assert charpoly(S) == charpoly_berkowitz(S), f"trial {trial}"
 
 
 def test_charpoly_matches_berkowitz_hashimoto_texture():
+    """Sparse 0/1 matrices S P_J, S symmetric: self-adjoint for a swap
+    involution J, as H is for the edge involution."""
     rng = np.random.default_rng(4)
     for trial in range(6):
         m = int(rng.integers(2, 24))
-        M = (rng.random((m, m)) < 0.15).astype(int)
-        assert charpoly(M) == charpoly_berkowitz(M)
+        upper = np.triu(rng.random((m, m)) < 0.15)
+        S = (upper | upper.T).astype(int)
+        J = _swap_involution(m, m % 2)
+        M = S @ np.eye(m, dtype=int)[J]
+        assert charpoly(M, involution=J) == charpoly_berkowitz(M), f"trial {trial}"
 
 
 def test_coefficient_bound_dominates():
@@ -55,7 +61,7 @@ def test_coefficient_bound_dominates():
         m = int(rng.integers(1, 12))
         M = rng.integers(-4, 5, size=(m, m))
         bound = coefficient_bound(M)
-        coeffs = charpoly(M)
+        coeffs = charpoly_berkowitz(M)
         assert max(abs(c) for c in coeffs) <= bound
 
 
@@ -161,7 +167,7 @@ def test_regular_char_poly_matches_direct(monkeypatch):
     assert {1, 2} <= {regularity(g) for _, g in corpus}
     for name, g in corpus:
         built.clear()
-        direct = charpoly(hashimoto_matrix(g))
+        direct = charpoly(hashimoto_matrix(g), involution=g.involution)
         mu_poly, u_poly = hashimoto_char_poly(g)
         assert mu_poly == direct, name
         assert u_poly == polys.reciprocal(direct, degree=g.directed_edge_count), name
@@ -237,9 +243,10 @@ def test_charpoly_input_range():
         charpoly(np.array([[1, 0.5], [0, 1]], dtype=object))
     assert charpoly(np.array([[2 ** 70]], dtype=object)) == [-(2 ** 70), 1]
     assert charpoly(np.array([[2 ** 62, 0], [0, 1]])) == [2 ** 62, -(2 ** 62) - 1, 1]
-    big = np.array([[2 ** 70, 3], [-(2 ** 65), 1]], dtype=object)
+    big = np.array([[2 ** 70, -(2 ** 65)], [-(2 ** 65), 1]], dtype=object)
     assert charpoly(big) == charpoly_berkowitz(big)
-    assert charpoly(np.array([[True, False], [True, True]])) == [1, -2, 1]
+    # self-adjoint for the swap: M^T = M[J][:, J]
+    assert charpoly(np.array([[True, False], [True, True]]), involution=[1, 0]) == [1, -2, 1]
     assert charpoly(np.array([[7, 1], [1, 2]], dtype=np.uint8)) == [13, -9, 1]
     assert charpoly(np.array([[2 ** 64 - 1]], dtype=np.uint64)) == [1 - 2 ** 64, 1]
 
@@ -390,11 +397,18 @@ def _general_matrices():
     return out
 
 
-def test_general_matrices_through_the_doubled_route():
+def test_matrices_neither_symmetric_nor_self_adjoint_are_refused():
     matrices = _general_matrices()
     assert len(matrices) >= 60
+    refused = 0
     for i, M in enumerate(matrices):
-        assert charpoly(M) == charpoly_berkowitz(M), (i, M)
+        if np.array_equal(M, M.T):
+            assert charpoly(M) == charpoly_berkowitz(M), (i, M)
+        else:
+            with pytest.raises(ValueError):
+                charpoly(M)
+            refused += 1
+    assert refused >= 40
 
 
 def _swap_involution(m, fixed):
@@ -446,7 +460,7 @@ def test_self_adjoint_low_rank_and_nilpotent():
 def test_small_primes_are_dropped_and_results_stay_exact(monkeypatch):
     cases = [(hashimoto_matrix(g), g.involution)
              for _, g in _char_poly_corpus()[:8]]
-    cases += [(M, None) for M in _general_matrices()[:20]]
+    cases += [(M + M.T, None) for M in _general_matrices()[:20]]
     expected = [charpoly(M, involution=J) for M, J in cases]
     batches = []
     real = charpoly_mod._lanczos_residues
@@ -463,16 +477,21 @@ def test_small_primes_are_dropped_and_results_stay_exact(monkeypatch):
     assert any(len(kept) < len(batch) for batch, kept in batches)
 
 
-def _isotropic_draw(rng, n):
-    """A draw for the doubled route: nonzero on M's half only, so
-    <x, x> = 2 x_top . x_bottom = 0 for every prime."""
-    x = np.zeros(n, dtype=np.int64)
-    x[: n // 2] = rng.integers(1, 1 << 26, size=n // 2)
+def _isotropic_draw(rng, J):
+    """A J-isotropic draw: nonzero on one index of each swapped pair and
+    zero on the fixed points, so <x, x> = sum_i x_i x_J(i) = 0 for every
+    prime."""
+    x = np.zeros(len(J), dtype=np.int64)
+    firsts = np.flatnonzero(J > np.arange(len(J)))
+    x[firsts] = rng.integers(1, 1 << 26, size=firsts.size)
     return x
 
 
 def test_isotropic_start_vector_restarts_the_block(monkeypatch):
-    M = np.array([[1, 2, 0], [0, 1, 3], [4, 0, 2]])
+    J = np.array([2, 1, 0, 4, 3])
+    S = np.array([[1, 2, 0, 1, 0], [2, 0, 3, 0, 1], [0, 3, 2, 1, 4],
+                  [1, 0, 1, 1, 2], [0, 1, 4, 2, 0]])
+    M = S @ np.eye(5, dtype=int)[J]
     real = charpoly_mod._start_vector
     draws = []
 
@@ -482,38 +501,40 @@ def test_isotropic_start_vector_restarts_the_block(monkeypatch):
 
     def first_isotropic(rng, n):
         draws.append(n)
-        return _isotropic_draw(rng, n) if len(draws) == 1 else real(rng, n)
+        return _isotropic_draw(rng, J) if len(draws) == 1 else real(rng, n)
 
     monkeypatch.setattr(charpoly_mod, "_start_vector", counting)
-    assert charpoly(M) == charpoly_berkowitz(M)
+    assert charpoly(M, involution=J) == charpoly_berkowitz(M)
     blocks = len(draws)
     draws.clear()
     monkeypatch.setattr(charpoly_mod, "_start_vector", first_isotropic)
-    assert charpoly(M) == charpoly_berkowitz(M)
+    assert charpoly(M, involution=J) == charpoly_berkowitz(M)
     assert len(draws) == blocks + 1
 
 
 def test_always_isotropic_draw_raises_after_bounded_restarts(monkeypatch):
+    J = np.array([1, 0])
     draws = []
 
     def always(rng, n):
         draws.append(n)
-        return _isotropic_draw(rng, n)
+        return _isotropic_draw(rng, J)
 
     monkeypatch.setattr(charpoly_mod, "_start_vector", always)
     with pytest.raises(LanczosBreakdown):
-        charpoly(np.array([[1, 2], [3, 4]]))
+        charpoly(np.array([[1, 2], [3, 1]]), involution=J)
     assert len(draws) == charpoly_mod._MAX_RESTARTS + 1
 
 
 def test_result_does_not_depend_on_the_seed(monkeypatch):
     g = sample_cover(build_bouquet(1, 1), 9, seed=3).total
     H = hashimoto_matrix(g)
-    M = np.array([[0, 1, 0], [0, 0, 1], [2, -1, 1]])
-    before = charpoly(H, involution=g.involution), charpoly(M)
+    C = np.array([[0, 1, 0], [0, 0, 1], [2, -1, 1]])
+    S = C + C.T
+    before = charpoly(H, involution=g.involution), charpoly(S)
     for seed in (1, 2, 99):
         monkeypatch.setattr(charpoly_mod, "_SEED", seed)
-        assert (charpoly(H, involution=g.involution), charpoly(M)) == before
+        assert (charpoly(H, involution=g.involution), charpoly(S)) == before
 
 
 def test_every_kept_prime_has_exact_residues():
@@ -623,7 +644,7 @@ def test_invariant_subspace_route_matches_the_full_space():
         m = g.directed_edge_count
         H = hashimoto_matrix(g)
         full = charpoly(H, involution=g.involution)
-        assert zeta_mod._hashimoto_charpoly(g, 512) == full, name
+        assert zeta_mod._hashimoto_charpoly(g) == full, name
         if m <= 20:
             assert full == charpoly_berkowitz(H), name
         G, a, b = zeta_mod._hashimoto_invariant(g)
@@ -667,7 +688,7 @@ def test_invariant_route_drops_unlucky_small_primes(monkeypatch):
     monkeypatch.setattr(charpoly_mod, "_PRIMES", [3, 5, 7, 11] + charpoly_mod._PRIMES)
     for name, g in corpus:
         expected = charpoly(hashimoto_matrix(g), involution=g.involution)
-        assert zeta_mod._hashimoto_charpoly(g, 512) == expected, name
+        assert zeta_mod._hashimoto_charpoly(g) == expected, name
 
 
 def test_invariant_argument_validation():

@@ -51,6 +51,14 @@ def test_cli_census_rejects_n0(capsys):
     assert "n must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_cli_census_rejects_non_finite_tol(capsys, tol):
+    rc = main(["census", "--model", "perm", "--n", "50", "--samples", "3", "--tol", tol])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "threshold_tol must be finite" in err
+
+
 def test_cli_census_cover(tmp_path, capsys):
     base = _write_graph(tmp_path, build_bouquet(2, 0), "base.nbg")
     rc = main([
@@ -109,6 +117,7 @@ def test_cli_zeta(tmp_path, capsys):
 @pytest.mark.parametrize("contour", [
     "0.1,0.1", "0.2,0.05,+,512,1", "0.2,0.05,+,abc", "0.2,abc,+,512",
     "0.2,0.05,x,512", "0.2,0.05,,512", "0,0.05,+,512", "0.2,0.05,-,0",
+    "0.2,inf,+,512", "nan,0.05,+,512",
 ])
 def test_cli_zeta_rejects_bad_contour(tmp_path, capsys, contour):
     path = _write_graph(tmp_path, complete_graph(4))

@@ -142,6 +142,13 @@ def test_parse_errors_carry_line_numbers():
         parse_graph("nbgraph v1\n1 1\n0 0\n")
 
 
+@pytest.mark.parametrize("sizes", ["3 -2", "3 -1", "-1 0"])
+def test_parse_rejects_negative_counts_on_the_size_line(sizes):
+    with pytest.raises(ParseError, match="size line") as exc:
+        parse_graph(f"nbgraph v1\n{sizes}\n")
+    assert exc.value.line == 2
+
+
 def test_row_sums_equal_degrees_random():
     for g in random_regular_corpus(12, seed=5):
         A = adjacency_matrix(g)

@@ -13,7 +13,6 @@ from nbzeta import (
     contour_pole_count,
     count_adjacency_eigenvalues_geq,
     hashimoto_spectrum,
-    is_epsilon_spectral,
     new_spectra,
     parse_graph,
     petersen_graph,
@@ -267,13 +266,6 @@ def test_h_equals_2a_on_half_loop_free_samples():
         assert nr.h_negative == 2 * nr.a_negative
 
 
-def test_epsilon_spectral():
-    assert is_epsilon_spectral(spectrum_report(complete_graph(4)), 0.1)
-    assert is_epsilon_spectral(spectrum_report(build_bouquet(2, 0)), 0.1)
-    witness = k5_minus_edge_ring(4)
-    assert not is_epsilon_spectral(spectrum_report(witness), 0.01)
-
-
 def test_new_spectra_identity_cover():
     base = build_bouquet(2, 0)
     cover = sample_cover(base, 1, seed=0)
@@ -431,7 +423,29 @@ def test_new_spectra_trace_identity():
             assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs))
 
 
-def test_dense_limit_guard():
-    g = sample_permutation_model(50, 4, seed=1)
-    with pytest.raises(TooLarge):
-        adjacency_spectrum(g, limit=10)
+def test_dense_limit_guard(monkeypatch):
+    """Every dense guard reads DENSE_EIG_LIMIT when called: n for the
+    adjacency and regular routes, m for an irregular graph's H and for a
+    cover of an irregular base; each passes at its size and raises
+    TooLarge one below it."""
+    from nbzeta import evaluate_L
+
+    regular = sample_permutation_model(50, 4, seed=1)
+    irregular = _k4_minus_edge()
+    regular_cover = sample_cover(complete_graph(4), 3, seed=1)
+    irregular_cover = sample_cover(irregular, 3, seed=1)
+    cases = [
+        (adjacency_spectrum, regular, regular.vertex_count),
+        (hashimoto_spectrum, regular, regular.vertex_count),
+        (hashimoto_spectrum, irregular, irregular.directed_edge_count),
+        (spectrum_report, regular, regular.vertex_count),
+        (lambda g: evaluate_L(g, 0.3 + 0.1j), regular, regular.vertex_count),
+        (new_spectra, regular_cover, regular_cover.total.vertex_count),
+        (new_spectra, irregular_cover, irregular_cover.total.directed_edge_count),
+    ]
+    for call, arg, size in cases:
+        monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", size)
+        call(arg)
+        monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", size - 1)
+        with pytest.raises(TooLarge):
+            call(arg)

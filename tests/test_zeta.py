@@ -109,9 +109,9 @@ def test_verify_ihara_independent_of_char_poly_route(monkeypatch):
     shapes = []
     real = zeta_mod.charpoly
 
-    def recording(M, limit, **kw):
+    def recording(M, **kw):
         shapes.append(M.shape)
-        return real(M, limit=limit, **kw)
+        return real(M, **kw)
 
     monkeypatch.setattr(zeta_mod, "charpoly", recording)
     for g in (complete_graph(4), build_bouquet(0, 3)):
@@ -178,9 +178,9 @@ def test_one_adjacency_charpoly_per_graph(monkeypatch):
     shapes = []
     real = zeta_mod.charpoly
 
-    def recording(M, limit, **kw):
+    def recording(M, **kw):
         shapes.append(M.shape)
-        return real(M, limit=limit, **kw)
+        return real(M, **kw)
 
     monkeypatch.setattr(zeta_mod, "_adjacency_memo", (None, None))
     monkeypatch.setattr(zeta_mod, "charpoly", recording)
@@ -229,6 +229,35 @@ def test_regular_route_bounds_vertices_not_edges():
         verify_ihara(g)
     with pytest.raises(TooLarge):
         hashimoto_char_poly(sample_permutation_model(513, 4, seed=1))
+
+
+def test_exact_limit_guards(monkeypatch):
+    """Each exact guard reads EXACT_CHARPOLY_LIMIT when called: charpoly's
+    rows, n on the regular route, m on H's route (irregular graphs and
+    verify_ihara); each passes at its size and raises TooLarge one below."""
+    import nbzeta.charpoly as charpoly_mod
+    import nbzeta.zeta as zeta_mod
+    from nbzeta import adjacency_matrix
+    from nbzeta.charpoly import charpoly
+    from nbzeta.graphs import graph_from_pairs
+
+    regular = sample_permutation_model(6, 4, seed=1)
+    irregular = graph_from_pairs(4, [0, 0, 0, 1, 1], [1, 2, 3, 2, 3])
+    assert regularity(irregular) is None
+    A = adjacency_matrix(regular)
+    cases = [
+        (charpoly_mod, lambda: charpoly(A), regular.vertex_count),
+        (zeta_mod, lambda: hashimoto_char_poly(regular), regular.vertex_count),
+        (zeta_mod, lambda: hashimoto_char_poly(irregular), irregular.directed_edge_count),
+        (zeta_mod, lambda: verify_ihara(regular), regular.directed_edge_count),
+    ]
+    for module, call, size in cases:
+        monkeypatch.setattr(module, "EXACT_CHARPOLY_LIMIT", size)
+        call()
+        monkeypatch.setattr(module, "EXACT_CHARPOLY_LIMIT", size - 1)
+        with pytest.raises(TooLarge):
+            call()
+        monkeypatch.undo()
 
 
 def test_essential_series_examples():
@@ -282,6 +311,17 @@ def test_e_rational_value_and_poles():
     assert e(2) == Fraction(8, 15)
     assert evaluate_e(4, 3, 2) == Fraction(8, 15)
     assert set(e.poles) == {1, -1, Fraction(1, 2), Fraction(-1, 2)}
+
+
+def test_e_rational_raises_near_pole_at_its_poles():
+    for n, d in [(4, 3), (5, 4)]:
+        e = e_rational(n, d)
+        for u in e.poles:
+            with pytest.raises(NearPole):
+                e(u)
+            with pytest.raises(NearPole):
+                e(complex(u))
+        assert e(2) == evaluate_e(n, d, 2)
 
 
 def test_e_series_matches_closed_form():
@@ -400,6 +440,29 @@ def test_contour_witness_nonzero(witness_graph):
     )
     assert cc.exact == expected >= 1
     assert abs(cc.numeric - cc.exact) <= 1e-6
+
+
+@pytest.mark.parametrize("spec", [
+    ContourSpec(float("nan"), 0.05),
+    ContourSpec(0.2, float("inf")),
+    ContourSpec(0.0, 0.05),
+    ContourSpec(0.2, -0.05),
+    ContourSpec(0.2, 0.05, sign=5),
+    ContourSpec(0.2, 0.05, sign=0),
+    ContourSpec(0.2, 0.05, quadrature_points=0),
+    ContourSpec(0.2, 0.05, quadrature_points=-4),
+    ContourSpec(0.2, 0.05, quadrature_points=2.5),
+], ids=["nan-eps", "inf-delta", "zero-eps", "negative-delta", "sign-5", "sign-0",
+        "points-0", "points-negative", "points-fractional"])
+def test_contour_rejects_a_bad_spec_before_the_poles(monkeypatch, spec):
+    import nbzeta.zeta as zeta_mod
+
+    def refuse(g):
+        raise AssertionError("poles computed for a bad spec")
+
+    monkeypatch.setattr(zeta_mod, "_scaled_poles", refuse)
+    with pytest.raises(ValueError):
+        contour_pole_count(complete_graph(4), spec)
 
 
 def test_contour_near_pole_raises():
