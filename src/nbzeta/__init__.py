@@ -40,13 +40,11 @@ from .models import (
 from .rng import derive_seed, splitmix64
 from .spectra import (
     NonRamanujanReport,
-    SpectrumReport,
     adjacency_spectrum,
     classify_non_ramanujan,
     count_adjacency_eigenvalues_geq,
     hashimoto_spectrum,
     new_spectra,
-    spectrum_report,
 )
 from .traces import (
     ExpansionFit,

@@ -28,7 +28,6 @@ from .spectra import (
     adjacency_spectrum,
     classify_non_ramanujan,
     hashimoto_spectrum,
-    spectrum_report,
 )
 from .traces import estimate_expected_trace, exact_expected_trace_small
 from .zeta import (
@@ -164,8 +163,7 @@ def _cmd_spectrum(args):
         mu = hashimoto_spectrum(g)
         out["hashimoto"] = [[float(z.real), float(z.imag)] for z in mu]
     if args.classify:
-        report = spectrum_report(g)
-        nr = classify_non_ramanujan(report)
+        nr = classify_non_ramanujan(g)
         out["non_ramanujan"] = {
             "h_positive": nr.h_positive,
             "h_negative": nr.h_negative,

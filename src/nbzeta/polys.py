@@ -37,13 +37,10 @@ def pow_(a, k):
     return out
 
 
-def reciprocal(a, degree=None):
-    """Coefficient reversal: x**n * a(1/x) with n = degree (default deg a)."""
+def reciprocal(a, degree):
+    """Coefficient reversal: x**degree * a(1/x), for degree >= deg a."""
     a = normalize(a)
-    n = len(a) - 1 if a else 0
-    if degree is None:
-        degree = n
-    if degree < n:
+    if degree < max(len(a) - 1, 0):
         raise ValueError("degree below actual degree")
     out = [0] * (degree + 1)
     for i, c in enumerate(a):

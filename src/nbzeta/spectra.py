@@ -20,6 +20,7 @@ projection onto the invariant subspace of vectors summing to zero on every
 fibre, with no eigenvalue matched against another.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,15 +47,6 @@ DENSE_EIG_LIMIT = 4096
 def default_tolerances(d):
     """(real_tol, special_tol, threshold_tol) used by the classifiers."""
     return 1e-8 * (d - 1), 1e-8 * d, 1e-9 * d
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Full spectra of one regular graph."""
-
-    adjacency_eigenvalues: np.ndarray  # descending
-    hashimoto_eigenvalues: np.ndarray  # complex, arbitrary order
-    d: int
 
 
 @dataclass(frozen=True)
@@ -187,21 +179,24 @@ def top_adjacency_eigenvalues(g, threshold, seed=12345):
     raise UncertainCount(float(vals[i]), float(band[i]), float(threshold))
 
 
-def count_adjacency_eigenvalues_geq(g, t, tol, limit=DENSE_EIG_LIMIT):
+def count_adjacency_eigenvalues_geq(g, t, tol):
     """Number of adjacency eigenvalues lambda with lambda >= t - tol.
 
-    Dense graphs go through shifted LDL^T inertia: a pivot at the shift
-    means an eigenvalue sits exactly at t - tol, and the shift is then
-    nudged down so the count keeps its ">=" meaning.  Larger graphs go
-    through the residual-certified Lanczos walk of
+    t and tol must be finite and tol nonnegative, else ValueError.  Graphs
+    of at most DENSE_EIG_LIMIT vertices go through shifted LDL^T inertia:
+    a pivot at the shift means an eigenvalue sits exactly at t - tol, and
+    the shift is then nudged down so the count keeps its ">=" meaning.
+    Larger graphs go through the residual-certified Lanczos walk of
     top_adjacency_eigenvalues, which raises UncertainCount instead.
     """
+    if not (math.isfinite(t) and math.isfinite(tol)):
+        raise ValueError(f"t and tol must be finite, not {t!r} and {tol!r}")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     if g.vertex_count == 0:
         return 0
     shift = t - tol
-    if g.vertex_count > limit:
+    if g.vertex_count > DENSE_EIG_LIMIT:
         return int(np.sum(top_adjacency_eigenvalues(g, shift) >= shift))
     A = adjacency_matrix(g).astype(float)
     jitter = max(1e-12, 1e-9 * max(1.0, abs(shift)))
@@ -258,33 +253,27 @@ def _ihara_roots(lam, d, half, extra):
     return roots.astype(complex)
 
 
-def spectrum_report(g):
-    d = regularity(g)
-    if d is None:
-        raise InvalidParams("spectrum reports need a regular graph")
-    adj = adjacency_spectrum(g)
-    mu = _ihara_roots(adj, d, *_loop_counts(g))
-    return SpectrumReport(adjacency_eigenvalues=adj, hashimoto_eigenvalues=mu, d=d)
-
-
-def classify_non_ramanujan(report, real_tol=None, special_tol=None):
-    """Count non-Ramanujan eigenvalues on both the Hashimoto and adjacency
-    sides.
+def classify_non_ramanujan(g):
+    """Count non-Ramanujan eigenvalues of a regular graph on both the
+    Hashimoto and adjacency sides, from its dense adjacency spectrum
+    (n <= DENSE_EIG_LIMIT, else TooLarge) and the Ihara map of it.
 
     Hashimoto: real eigenvalues (|Im| <= real_tol) away from the special
     values +-1, +-sqrt(d-1), +-(d-1).  Adjacency: |lambda| strictly between
-    2*sqrt(d-1) and d, with a special_tol margin on both ends.
+    2*sqrt(d-1) and d, with a special_tol margin on both ends.  Both
+    tolerances are default_tolerances(d).
     """
-    d = report.d
-    rt, st, _ = default_tolerances(d)
-    real_tol = rt if real_tol is None else real_tol
-    special_tol = st if special_tol is None else special_tol
+    d = regularity(g)
+    if d is None:
+        raise InvalidParams("classification needs a regular graph")
+    adjacency = adjacency_spectrum(g)
+    real_tol, special_tol, _ = default_tolerances(d)
     sq = np.sqrt(d - 1.0)
     special = (1.0, -1.0, sq, -sq, float(d - 1), -float(d - 1))
 
     h_pos = h_neg = 0
     witnesses = []
-    for mu in report.hashimoto_eigenvalues:
+    for mu in _ihara_roots(adjacency, d, *_loop_counts(g)):
         if abs(mu.imag) > real_tol:
             continue
         x = mu.real
@@ -298,7 +287,7 @@ def classify_non_ramanujan(report, real_tol=None, special_tol=None):
 
     lo, hi = 2 * sq, float(d)
     a_pos = a_neg = 0
-    for lam in report.adjacency_eigenvalues:
+    for lam in adjacency:
         ab = abs(lam)
         if lo + special_tol < ab < hi - special_tol:
             if lam > 0:

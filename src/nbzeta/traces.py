@@ -53,6 +53,8 @@ _SPARSE_NNZ_BUDGET = 40_000_000
 _INT64_GUARD = 2 ** 62
 # below this n, dense int64 Dickson products beat scipy's per-call overhead
 _DENSE_DICKSON_LIMIT = 64
+# most permutation tuples exact_expected_trace_small enumerates
+EXACT_ENUMERATION_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -236,14 +238,15 @@ def estimate_expected_trace(model, n, d, k, samples, master_seed, base=None):
     )
 
 
-def exact_expected_trace_small(n, d, k, max_tuples=10_000_000):
+def exact_expected_trace_small(n, d, k):
     """Exact E[Tr(H^k)] for the permutation model by enumerating all
-    (n!)**(d/2) permutation tuples with equal weight."""
+    (n!)**(d/2) permutation tuples with equal weight; more than
+    EXACT_ENUMERATION_LIMIT tuples raise TooLarge."""
     if d % 2 != 0 or d < 4:
         raise InvalidParams("exact enumeration covers the perm model (even d >= 4)")
     perms = list(itertools.permutations(range(n)))
     count = len(perms) ** (d // 2)
-    if count > max_tuples:
+    if count > EXACT_ENUMERATION_LIMIT:
         raise TooLarge(f"{count} permutation tuples exceed the enumeration guard")
     total = 0
     for tup in itertools.product(perms, repeat=d // 2):

@@ -15,7 +15,7 @@ and -zeta'/zeta(u) = L(u) + e(u) with the explicit rational remainder
 whose poles are +-1 (residue -chi) and +-1/(d-1).
 """
 
-import hashlib
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +34,13 @@ from .errors import (
 from .graphs import adjacency_matrix, graph_counts, hashimoto_matrix, regularity
 from .spectra import hashimoto_spectrum
 from .traces import tr_hashimoto_power
+
+# evaluate_L's float path raises NearPole this close to a pole of L
+_MIN_POLE_DISTANCE = 1e-12
+# terms of the truncated series in DivisorSumGeneratingFunction.remainder
+_REMAINDER_TERMS = 200
+# trapezoid nodes on the circle in integrate_circle
+_CIRCLE_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -92,14 +99,6 @@ class ResidueReport:
     remainder_radius: float  # next pole ring of the divisor remainder
     function: object = None  # DivisorSumGeneratingFunction
 
-    def to_json_dict(self):
-        return {
-            "d": self.d,
-            "poles": list(self.poles),
-            "residues": list(self.residues),
-            "remainder_radius": self.remainder_radius,
-        }
-
 
 def hashimoto_char_poly(g):
     """(det(mu I - H), det(I - u H)) as exact ascending coefficient lists.
@@ -112,7 +111,7 @@ def hashimoto_char_poly(g):
 
     with a negative exponent an exact division; H is never built, A's
     charpoly comes from modular Lanczos for the standard form (shared with
-    verify_ihara through a one-entry memo keyed by a digest of A), and
+    verify_ihara through a one-entry cache keyed on A's bytes), and
     EXACT_CHARPOLY_LIMIT bounds n.  An irregular graph (or one without
     edges, whose H is empty) takes _hashimoto_charpoly, the modular
     charpoly of H itself: Lanczos on H's invariant subspace W, the rest
@@ -136,25 +135,21 @@ def hashimoto_char_poly(g):
     return mu_poly, u_poly
 
 
-# (digest of the last dense A, det(xI - A)): hashimoto_char_poly and then
-# verify_ihara on one graph take A's charpoly once.  The pair is replaced
-# whole, so a concurrent caller at worst recomputes, never mismatches.
-_adjacency_memo = (None, None)
-
-
 def _adjacency_charpoly(g):
-    """det(xI - A) for A = adjacency_matrix(g), from the memo when the
-    digest of A's bytes and shape matches the last A; a changed A misses.
-    EXACT_CHARPOLY_LIMIT bounds n, before A is built."""
-    global _adjacency_memo
+    """det(xI - A) for A = adjacency_matrix(g); EXACT_CHARPOLY_LIMIT bounds
+    n, before A is built.  hashimoto_char_poly and then verify_ihara on one
+    graph take A's charpoly once, through _cached_charpoly."""
     if g.vertex_count > EXACT_CHARPOLY_LIMIT:
         raise TooLarge(f"exact char poly limited to {EXACT_CHARPOLY_LIMIT} vertices")
     A = adjacency_matrix(g)
-    key = (A.shape, A.dtype.str, hashlib.blake2b(A.tobytes()).digest())
-    memo = _adjacency_memo
-    if memo[0] != key:
-        memo = _adjacency_memo = (key, tuple(charpoly(A)))
-    return list(memo[1])
+    return list(_cached_charpoly(A.shape, A.dtype.str, A.tobytes()))
+
+
+@functools.lru_cache(maxsize=1)
+def _cached_charpoly(shape, dtype, data):
+    """charpoly of the matrix with this shape, dtype and bytes, the last
+    one kept: a changed A misses."""
+    return tuple(charpoly(np.frombuffer(data, dtype=dtype).reshape(shape)))
 
 
 def _component_counts(g):
@@ -283,8 +278,8 @@ def verify_ihara(g):
     for the form x . y[involution], and the quotient's (mu-1)^a (mu+1)^b
     from the graph's vertex, pair, half-loop and component counts.  An H
     that fails the check raises IdentityViolation.  EXACT_CHARPOLY_LIMIT
-    bounds |E^dir|; A's charpoly may come from the memo that
-    hashimoto_char_poly filled, when A's digest matches.
+    bounds |E^dir|; A's charpoly may come from the cache that
+    hashimoto_char_poly filled, when A's bytes match.
 
     Returns an IharaReport; raises IdentityViolation on mismatch.
     """
@@ -329,13 +324,22 @@ def _scaled_poles(g):
     return hashimoto_spectrum(g) / (d - 1), d
 
 
-def evaluate_L(g, u, min_pole_distance=1e-12):
+def _log_derivative(p, x):
+    """p'(x)/p(x), exact for rational x; NearPole at a root of p."""
+    den = polys.evaluate(p, x)
+    if den == 0:
+        raise NearPole(f"x = {x} is a root of the char poly")
+    return Fraction(polys.evaluate(polys.derivative(p), x), den)
+
+
+def evaluate_L(g, u):
     """L(u) = sum over Spec(H) of 1/(u - mu/(d-1)).
 
     Exact-rational u on a graph with at most EXACT_CHARPOLY_LIMIT vertices
     (the bound of hashimoto_char_poly's regular route) is evaluated exactly
     through the charpoly logarithmic derivative; other inputs go through
-    the float spectrum.
+    the float spectrum, which raises NearPole within _MIN_POLE_DISTANCE of
+    a pole.
     """
     if isinstance(u, (int, Fraction)) and g.vertex_count <= EXACT_CHARPOLY_LIMIT:
         d = regularity(g)
@@ -347,17 +351,12 @@ def evaluate_L(g, u, min_pole_distance=1e-12):
             return Fraction(g.directed_edge_count) / Fraction(u)
         mu_poly, _ = hashimoto_char_poly(g)
         # L(u) = (d-1) q'((d-1)u)/q((d-1)u) for q = det(x I - H)
-        x = Fraction(u) * (d - 1)
-        den = polys.evaluate(mu_poly, x)
-        if den == 0:
-            raise NearPole(f"u = {u} is a pole of L")
-        num = polys.evaluate(polys.derivative(mu_poly), x)
-        return (d - 1) * Fraction(num, den)
+        return (d - 1) * _log_derivative(mu_poly, Fraction(u) * (d - 1))
     poles, _ = _scaled_poles(g)
     uz = complex(u)
     dist = np.abs(uz - poles)
-    if dist.size and dist.min() < min_pole_distance:
-        raise NearPole(f"u within {min_pole_distance} of a pole of L")
+    if dist.size and dist.min() < _MIN_POLE_DISTANCE:
+        raise NearPole(f"u within {_MIN_POLE_DISTANCE} of a pole of L")
     return complex(np.sum(1.0 / (uz - poles)))
 
 
@@ -365,12 +364,7 @@ def minus_zeta_log_derivative(g, u):
     """-zeta'/zeta(u) = P'(u)/P(u) with P(u) = det(I - uH), evaluated
     exactly for rational u (independent of the L + e split)."""
     _, u_poly = hashimoto_char_poly(g)
-    x = Fraction(u)
-    den = polys.evaluate(u_poly, x)
-    if den == 0:
-        raise NearPole(f"u = {u} is a pole of zeta'/zeta")
-    num = polys.evaluate(polys.derivative(u_poly), x)
-    return Fraction(num, den)
+    return _log_derivative(u_poly, Fraction(u))
 
 
 @dataclass(frozen=True)
@@ -451,9 +445,14 @@ def contour_pole_count(g, spec, pole_clearance=None):
     NearContourPole.  The default is 3 quadrature steps of the longer side:
     the trapezoid error near a pole at distance rho is about
     exp(-2 pi rho / step), so a nearer pole could give a wrong count.
-    A spec that fails ContourSpec.validate raises ValueError first.
+    A spec that fails ContourSpec.validate, or a pole_clearance that is
+    neither None nor finite and >= 0, raises ValueError first.
     """
     spec.validate()
+    if pole_clearance is not None and not (
+            math.isfinite(pole_clearance) and pole_clearance >= 0):
+        raise ValueError(
+            f"pole_clearance must be None or finite and >= 0, not {pole_clearance!r}")
     poles, d = _scaled_poles(g)
     if d < 2:
         raise InvalidParams("contour counting needs d >= 2")
@@ -501,42 +500,37 @@ class DivisorSumGeneratingFunction:
         if d < 3:
             raise ValueError("needs d >= 3")
         self.d = d
-        self._coefficients = {}
+        # c_k = t_k (d-1)^(-k) with t_k = sum_{k'|k, k'<=k/3} (d-1)^k' for
+        # k = 1.._REMAINDER_TERMS: exact sums (a sieve over the divisors
+        # k') rounded once to float
+        q, terms = d - 1, _REMAINDER_TERMS
+        tails = [0] * (terms + 1)
+        for kp in range(1, terms // 3 + 1):
+            power = q ** kp
+            for k in range(3 * kp, terms + 1, kp):
+                tails[k] += power
+        self._coefficients = [
+            float(Fraction(t, q ** k)) for k, t in enumerate(tails) if k]
 
     def leading(self, u):
         u = complex(u)
         return 1.0 / (u - 1.0) + u / (u * u - 1.0 / (self.d - 1))
 
-    def _tail_coefficients(self, terms):
-        """c_k = t_k (d-1)^(-k) with t_k = sum_{k'|k, k'<=k/3} (d-1)^k', for
-        k = 1..terms: exact sums (a sieve over the divisors k') rounded once
-        to float, computed once per truncation."""
-        if terms not in self._coefficients:
-            q = self.d - 1
-            tails = [0] * (terms + 1)
-            for kp in range(1, terms // 3 + 1):
-                power = q ** kp
-                for k in range(3 * kp, terms + 1, kp):
-                    tails[k] += power
-            self._coefficients[terms] = [
-                float(Fraction(t, q ** k)) for k, t in enumerate(tails) if k
-            ]
-        return self._coefficients[terms]
-
-    def remainder(self, u, terms=200):
-        """cP0(u) minus the two leading closed-form terms, by truncated
-        series; valid for |u| > (d-1)^(-2/3)."""
+    def remainder(self, u):
+        """cP0(u) minus the two leading closed-form terms, by the series
+        truncated after _REMAINDER_TERMS terms; valid for
+        |u| > (d-1)^(-2/3)."""
         u = complex(u)
         # exact tail sum_k c_k u^(-1-k), by Horner in 1/u, minus the
         # single-power corrections absorbed by the closed forms
         v = 1.0 / u
         acc = 0.0 + 0.0j
-        for c in reversed(self._tail_coefficients(terms)):
+        for c in reversed(self._coefficients):
             acc = (acc + c) * v
         return (acc - 2.0) * v
 
-    def __call__(self, u, terms=200):
-        return self.leading(u) + self.remainder(u, terms=terms)
+    def __call__(self, u):
+        return self.leading(u) + self.remainder(u)
 
 
 def cP0_residues(d):
@@ -552,8 +546,10 @@ def cP0_residues(d):
     )
 
 
-def integrate_circle(f, center, radius, points=2048):
-    """(1/2 pi i) closed-circle integral of f, trapezoid on the circle."""
+def integrate_circle(f, center, radius):
+    """(1/2 pi i) closed-circle integral of f, trapezoid on the circle at
+    _CIRCLE_POINTS nodes."""
+    points = _CIRCLE_POINTS
     ts = np.arange(points) / points
     zs = center + radius * np.exp(2j * np.pi * ts)
     dz = 2j * np.pi * radius * np.exp(2j * np.pi * ts) / points

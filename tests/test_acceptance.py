@@ -18,6 +18,7 @@ from nbzeta import (
     CensusConfig,
     ContourSpec,
     NearContourPole,
+    adjacency_spectrum,
     cP0_residues,
     classify_non_ramanujan,
     complete_graph,
@@ -34,7 +35,6 @@ from nbzeta import (
     minus_zeta_log_derivative,
     parse_graph,
     run_census,
-    spectrum_report,
     tr_hashimoto_power,
     verify_ihara,
 )
@@ -259,14 +259,13 @@ def test_criterion_8_non_ramanujan_structure():
     corpus.append(witness)
     for g in corpus:
         d = regularity(g)
-        report = spectrum_report(g)
-        nr = classify_non_ramanujan(report)
+        nr = classify_non_ramanujan(g)
         assert nr.h_positive == 2 * nr.a_positive
         assert nr.h_negative == 2 * nr.a_negative
         # count_geq consistency at the census threshold
         _, st, tol = default_tolerances(d)
         t = 2 * math.sqrt(d - 1)
-        w = report.adjacency_eigenvalues
+        w = adjacency_spectrum(g)
         n_thr = int(np.sum((w >= t - tol) & (w <= t + st)))
         n_top = int(np.sum(w >= d - st))
         assert count_adjacency_eigenvalues_geq(g, t, tol) == (
@@ -275,7 +274,7 @@ def test_criterion_8_non_ramanujan_structure():
     # contour consistency on the witness: the eps=0.35 rectangle holds the
     # scaled images of exactly the smaller non-Ramanujan pair
     cc = contour_pole_count(witness, ContourSpec(eps=0.35, delta=0.02, sign=+1))
-    nr = classify_non_ramanujan(spectrum_report(witness))
+    nr = classify_non_ramanujan(witness)
     ok = cc.exact == 2 and abs(cc.numeric - cc.exact) <= 1e-6 and nr.h_positive == 4
     _report(
         "criterion 8 (non-Ramanujan structure: h = 2a, mutual consistency)",

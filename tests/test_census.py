@@ -16,6 +16,7 @@ import pytest
 from nbzeta import (
     CensusConfig,
     InvalidParams,
+    adjacency_spectrum,
     build_bouquet,
     classify_non_ramanujan,
     complete_graph,
@@ -25,7 +26,6 @@ from nbzeta import (
     sample_cover,
     sample_permutation_model,
     serialize_graph,
-    spectrum_report,
 )
 from nbzeta import census as census_module
 from nbzeta.graphs import regularity
@@ -298,11 +298,10 @@ def test_census_strict_mode_consistent_with_classifier():
     res = run_census(cfg)
     for rec in res.records:
         g = sample_permutation_model(24, 4, rec.seed)
-        report = spectrum_report(g)
-        nr = classify_non_ramanujan(report)
+        nr = classify_non_ramanujan(g)
         _, st, _ = default_tolerances(4)
         thr = 2 * math.sqrt(3)
-        at_thr = int(np.sum(np.abs(report.adjacency_eigenvalues - thr) <= st))
+        at_thr = int(np.sum(np.abs(adjacency_spectrum(g) - thr) <= st))
         assert rec.count == nr.a_positive + at_thr
 
 

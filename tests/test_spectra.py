@@ -18,7 +18,6 @@ from nbzeta import (
     petersen_graph,
     sample_cover,
     sample_permutation_model,
-    spectrum_report,
     tr_hashimoto_power,
 )
 from nbzeta import spectra
@@ -103,31 +102,49 @@ def test_count_geq_includes_exact_threshold():
     assert count_adjacency_eigenvalues_geq(g, -1.0, 1e-12) == 4
 
 
-def test_count_geq_sparse_path():
+@pytest.mark.parametrize("t, tol", [(2.8, float("nan")), (float("nan"), 1e-9),
+                                    (float("inf"), 1e-9)],
+                         ids=["nan-tol", "nan-t", "inf-t"])
+def test_count_geq_rejects_non_finite_input(monkeypatch, t, tol):
+    # a ValueError before any factorization, not a LAPACK breakdown
+    def refuse(A, shift):
+        raise AssertionError("factorized for a non-finite input")
+
+    monkeypatch.setattr(spectra, "_inertia_positive_dense", refuse)
+    with pytest.raises(ValueError):
+        count_adjacency_eigenvalues_geq(complete_graph(4), t, tol)
+
+
+def test_count_geq_sparse_path(monkeypatch):
     g = sample_permutation_model(5000, 4, seed=2)
     t = 2 * np.sqrt(3)
     n_dense = count_adjacency_eigenvalues_geq(g, t, 1e-9)
     # force the sparse path with a reduced dense limit
-    n_sparse = count_adjacency_eigenvalues_geq(g, t, 1e-9, limit=1000)
+    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 1000)
+    n_sparse = count_adjacency_eigenvalues_geq(g, t, 1e-9)
     assert n_dense == n_sparse >= 1
 
 
-def test_count_geq_sparse_threshold_below_spectrum():
+def test_count_geq_sparse_threshold_below_spectrum(monkeypatch):
     # a threshold under the whole spectrum must count all n eigenvalues,
     # which needs the bottom-of-spectrum fallback in the iterative path
     g = sample_permutation_model(120, 4, seed=6)
-    assert count_adjacency_eigenvalues_geq(g, -10.0, 1e-9, limit=50) == 120
+    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 50)
+    assert count_adjacency_eigenvalues_geq(g, -10.0, 1e-9) == 120
 
 
 @pytest.mark.parametrize("g", [build_bouquet(2, 0), build_bouquet(1, 1)],
                          ids=["bouquet(2,0)", "bouquet(1,1)"])
-def test_count_geq_sparse_path_one_vertex(g):
+def test_count_geq_sparse_path_one_vertex(g, monkeypatch):
     # one vertex: no Lanczos (ARPACK needs 0 < k < n), the diagonal entry
     # (4 and 3) is the spectrum; a threshold at that entry counts it
     for t in (2.0, 3.0, 3.5, 4.0, 4.5):
         dense = count_adjacency_eigenvalues_geq(g, t, 1e-9)
-        assert count_adjacency_eigenvalues_geq(g, t, 1e-9, limit=0) == dense
-    assert count_adjacency_eigenvalues_geq(g, 3.0, 1e-9, limit=0) == 1
+        with monkeypatch.context() as patch:
+            patch.setattr(spectra, "DENSE_EIG_LIMIT", 0)
+            assert count_adjacency_eigenvalues_geq(g, t, 1e-9) == dense
+    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 0)
+    assert count_adjacency_eigenvalues_geq(g, 3.0, 1e-9) == 1
 
 
 def _two_perm_halves(half, seed):
@@ -157,7 +174,7 @@ LANCZOS_CORPUS = {
 
 
 @pytest.mark.parametrize("name", sorted(LANCZOS_CORPUS))
-def test_count_geq_lanczos_matches_dense(name):
+def test_count_geq_lanczos_matches_dense(name, monkeypatch):
     # the sparse path, forced by a limit below n, against LDL inertia
     g = LANCZOS_CORPUS[name]()
     d = regularity(g)
@@ -168,19 +185,22 @@ def test_count_geq_lanczos_matches_dense(name):
     for t in thresholds:
         tol = 1e-9 * d
         dense = count_adjacency_eigenvalues_geq(g, t, tol)
-        assert count_adjacency_eigenvalues_geq(g, t, tol, limit=n - 1) == dense
+        with monkeypatch.context() as patch:
+            patch.setattr(spectra, "DENSE_EIG_LIMIT", n - 1)
+            assert count_adjacency_eigenvalues_geq(g, t, tol) == dense
     if name.startswith("halves"):
         assert dense >= 2
 
 
 @pytest.mark.parametrize("g", [petersen_graph(), sample_permutation_model(600, 4, 1)],
                          ids=["petersen", "perm-600"])
-def test_count_geq_lanczos_threshold_at_eigenvalue_is_uncertain(g):
+def test_count_geq_lanczos_threshold_at_eigenvalue_is_uncertain(g, monkeypatch):
     # lambda1 = d exactly: no tolerance can move its residual band off t
     d = regularity(g)
     assert adjacency_spectrum(g)[1] < d - 1e-6  # connected
+    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", g.vertex_count - 1)
     with pytest.raises(UncertainCount) as exc:
-        count_adjacency_eigenvalues_geq(g, float(d), 0.0, limit=g.vertex_count - 1)
+        count_adjacency_eigenvalues_geq(g, float(d), 0.0)
     err = exc.value
     assert err.threshold == d
     assert abs(err.theta - d) <= err.residual < 1e-10
@@ -242,26 +262,25 @@ def test_spectrum_power_sums_match_traces():
 
 def test_classify_named_ramanujan():
     for g in (complete_graph(4), petersen_graph()):
-        nr = classify_non_ramanujan(spectrum_report(g))
+        nr = classify_non_ramanujan(g)
         assert nr.is_ramanujan
         assert (nr.h_positive, nr.h_negative, nr.a_positive, nr.a_negative) == (0, 0, 0, 0)
 
 
 def test_classify_witness(witness_graph):
-    report = spectrum_report(witness_graph)
-    nr = classify_non_ramanujan(report)
+    nr = classify_non_ramanujan(witness_graph)
     assert nr.a_positive >= 1
     assert nr.h_positive == 2 * nr.a_positive
     assert not nr.is_ramanujan
     # independent check through the dense adjacency spectrum
-    w = report.adjacency_eigenvalues
+    w = adjacency_spectrum(witness_graph)
     lo, hi = 2 * np.sqrt(3), 4
     assert nr.a_positive == int(np.sum((w > lo + 1e-7) & (w < hi - 1e-7)))
 
 
 def test_h_equals_2a_on_half_loop_free_samples():
     for g in random_regular_corpus(20, seed=41, max_vertices=24):
-        nr = classify_non_ramanujan(spectrum_report(g))
+        nr = classify_non_ramanujan(g)
         assert nr.h_positive == 2 * nr.a_positive
         assert nr.h_negative == 2 * nr.a_negative
 
@@ -318,7 +337,7 @@ def test_only_irregular_graphs_build_hashimoto(monkeypatch, witness_graph):
 
     monkeypatch.setattr(spectra, "hashimoto_matrix", counting)
     hashimoto_spectrum(witness_graph)
-    spectrum_report(witness_graph)
+    classify_non_ramanujan(witness_graph)
     contour_pole_count(witness_graph, ContourSpec(eps=0.35, delta=0.02))
     new_spectra(sample_cover(complete_graph(4), 5, seed=3))
     assert built == []
@@ -438,7 +457,7 @@ def test_dense_limit_guard(monkeypatch):
         (adjacency_spectrum, regular, regular.vertex_count),
         (hashimoto_spectrum, regular, regular.vertex_count),
         (hashimoto_spectrum, irregular, irregular.directed_edge_count),
-        (spectrum_report, regular, regular.vertex_count),
+        (classify_non_ramanujan, regular, regular.vertex_count),
         (lambda g: evaluate_L(g, 0.3 + 0.1j), regular, regular.vertex_count),
         (new_spectra, regular_cover, regular_cover.total.vertex_count),
         (new_spectra, irregular_cover, irregular_cover.total.directed_edge_count),

@@ -182,7 +182,7 @@ def test_one_adjacency_charpoly_per_graph(monkeypatch):
         shapes.append(M.shape)
         return real(M, **kw)
 
-    monkeypatch.setattr(zeta_mod, "_adjacency_memo", (None, None))
+    zeta_mod._cached_charpoly.cache_clear()
     monkeypatch.setattr(zeta_mod, "charpoly", recording)
     for g in (complete_graph(4), sample_permutation_model(32, 4, seed=3),
               sample_cover(build_bouquet(1, 1), 43, seed=2).total):
@@ -195,7 +195,7 @@ def test_one_adjacency_charpoly_per_graph(monkeypatch):
     pair = [sample_permutation_model(32, 4, seed=s) for s in (4, 5)]
     expected = []
     for g in pair:
-        monkeypatch.setattr(zeta_mod, "_adjacency_memo", (None, None))
+        zeta_mod._cached_charpoly.cache_clear()
         expected.append(hashimoto_char_poly(g))
     assert expected[0] != expected[1]
     for i in range(6):
@@ -463,6 +463,21 @@ def test_contour_rejects_a_bad_spec_before_the_poles(monkeypatch, spec):
     monkeypatch.setattr(zeta_mod, "_scaled_poles", refuse)
     with pytest.raises(ValueError):
         contour_pole_count(complete_graph(4), spec)
+
+
+@pytest.mark.parametrize("clearance", [float("nan"), -1.0, float("inf")],
+                         ids=["nan", "negative", "inf"])
+def test_contour_rejects_a_bad_pole_clearance_before_the_poles(monkeypatch, clearance):
+    # the left side runs through the triple pole at u = 1/2 of K4
+    import nbzeta.zeta as zeta_mod
+
+    def refuse(g):
+        raise AssertionError("poles computed for a bad pole_clearance")
+
+    monkeypatch.setattr(zeta_mod, "_scaled_poles", refuse)
+    spec = ContourSpec(1 - 0.5 * np.sqrt(2), 0.05)
+    with pytest.raises(ValueError):
+        contour_pole_count(complete_graph(4), spec, pole_clearance=clearance)
 
 
 def test_contour_near_pole_raises():
