@@ -7,10 +7,12 @@ records (index, seed, count, lambda1, lambda2).  A cover counts its new
 spectrum, the total spectrum less the base's (a sub-multiset, since
 functions constant on fibres are invariant under A): its count is the
 total graph's count minus the base's.  Every model takes one route: a
-dense eigensolve up to DENSE_EIG_LIMIT vertices, seeded Lanczos above it.
-A Lanczos count is certified by residual bands (see
-spectra.top_adjacency_eigenvalues); lambda1 and lambda2 are then Ritz
-values, accurate to the solver tolerance that certified the count.  A
+dense eigensolve up to DENSE_EIG_LIMIT vertices, seeded Lanczos above it;
+there a cover's Lanczos runs on the new spectrum alone, and the base's
+values are merged in.  A Lanczos count is certified by residual bands
+(see spectra.top_adjacency_eigenvalues); lambda1 and lambda2 are then
+Ritz values from the rung that certified it: the plain Lanczos rung
+(lambda2 to about 1e-7) or eigsh at the tolerance that certified it.  A
 sample whose count cannot be certified raises UncertainCount and is
 recorded as a failure with its reason, never counted.  Reruns with the
 same config are byte-identical and longer runs extend shorter ones record
@@ -49,6 +51,7 @@ from .spectra import (
     default_tolerances,
     new_spectra,  # noqa: F401  perfbench/tracing.py wraps this name
     top_adjacency_eigenvalues,
+    top_new_adjacency_eigenvalues,
 )
 
 PAPER_SECTION8 = {
@@ -149,8 +152,9 @@ class CensusResult:
 
 
 def _one_sample(args):
-    (model, n, d, mode, tol, base, offset, master_seed, index) = args
+    (model, n, d, mode, tol, base, base_top, master_seed, index) = args
     seed = derive_seed(master_seed, index)
+    cover = None
     if model == "perm":
         g = sample_permutation_model(n, d, seed)
     elif model == "cycle":
@@ -158,8 +162,11 @@ def _one_sample(args):
     elif model == "match":
         g = sample_matching_model(n, d, seed)
     else:
-        g = sample_cover(base, n, seed).total
-    top = _top_eigenvalues(g, d, tol, seed)
+        cover = sample_cover(base, n, seed)
+        g = cover.total
+    top = _top_eigenvalues(g, d, tol, seed, cover, base_top)
+    # a cover counts its new spectrum: the total's count less the base's
+    offset = 0 if cover is None else _count(base_top, d, mode, tol)
     return SampleRecord(
         sample=index,
         seed=seed,
@@ -169,12 +176,18 @@ def _one_sample(args):
     )
 
 
-def _top_eigenvalues(g, d, tol, seed):
+def _top_eigenvalues(g, d, tol, seed, cover=None, base_top=None):
     """Descending adjacency eigenvalues of g: all of them up to the dense
-    limit, else the top ones down past the threshold by seeded Lanczos."""
+    limit, else the top ones down past the threshold by seeded Lanczos.
+    Above the limit, the total graph of a cover takes Lanczos on its new
+    spectrum alone, merged with base_top, the base's own top values."""
     if g.vertex_count <= DENSE_EIG_LIMIT:
         return np.linalg.eigvalsh(adjacency_matrix(g).astype(float))[::-1]
-    return top_adjacency_eigenvalues(g, 2 * math.sqrt(d - 1) - tol, seed=seed)
+    threshold = 2 * math.sqrt(d - 1) - tol
+    if cover is None:
+        return top_adjacency_eigenvalues(g, threshold, seed=seed)
+    new = top_new_adjacency_eigenvalues(cover, threshold, seed=seed)
+    return np.sort(np.concatenate([base_top, new]))[::-1]
 
 
 def _count(vals, d, mode, tol):
@@ -207,12 +220,9 @@ def run_census(config, out_path=None, progress=None):
     tol = config.threshold_tol
     if tol is None:
         _, _, tol = default_tolerances(d)
-    # a cover counts its new spectrum: the total's count less the base's
-    offset = 0 if base is None else _count(
-        _top_eigenvalues(base, d, tol, config.master_seed), d, mode, tol
-    )
+    base_top = None if base is None else _top_eigenvalues(base, d, tol, config.master_seed)
     tasks = [
-        (config.model, config.n, d, mode, tol, base, offset, config.master_seed, i)
+        (config.model, config.n, d, mode, tol, base, base_top, config.master_seed, i)
         for i in range(config.samples)
     ]
     records, reasons = [], Counter()

@@ -151,6 +151,17 @@ def adjacency_sparse(g, dtype=float):
     )
 
 
+def is_connected(g):
+    """True when g has exactly one connected component."""
+    from scipy.sparse.csgraph import connected_components
+
+    n = g.vertex_count
+    links = sp.coo_matrix(
+        (np.ones(g.directed_edge_count, dtype=bool), (g.tails, g.heads)), shape=(n, n)
+    )
+    return connected_components(links, directed=False, return_labels=False) == 1
+
+
 def directed_line_graph(g):
     """(tails, heads) of the directed line graph, whose vertices are the
     directed edges of g: (e1, e2) is an edge iff the walk e1 then e2 is

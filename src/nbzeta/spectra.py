@@ -7,17 +7,23 @@ dense eigensolve of the m x m Hashimoto matrix, and there it bounds the
 directed edge count m.  Beyond the limit only counting queries are
 supported: the dense path counts through the inertia of a shifted LDL^T
 factorization; the sparse path walks down the top of the spectrum with
-seeded Lanczos (ARPACK), since symmetric factorization of expander
-adjacencies fills in catastrophically.  A Lanczos count is certified by
-residuals: for symmetric A each Ritz pair (theta, x) has an eigenvalue
-within ||Ax - theta x|| of theta, so the count stands once no such band
-contains the threshold.  The solver tolerance tightens along a short
-ladder (1e-4, 1e-8, 1e-12) until it does; a band still holding the
-threshold at the end raises UncertainCount, never a silent count.
+seeded Lanczos, since symmetric factorization of expander adjacencies
+fills in catastrophically.  A Lanczos count is certified by residuals:
+for symmetric A each Ritz pair (theta, x) has an eigenvalue within
+||Ax - theta x|| of theta, so the count stands once no such band contains
+the threshold.  A connected graph first takes a plain three-term Lanczos
+rung: no reorthogonalization, ghost copies sorted out by the
+Cullum-Willoughby test, the Lanczos vectors kept in float32, and every
+reduction of length n summed by numpy rather than BLAS, so its values do
+not depend on the BLAS thread count.  What it cannot certify goes to
+ARPACK's eigsh, whose tolerance tightens along a short ladder (1e-4,
+1e-8, 1e-12); a band still holding the threshold at the end raises
+UncertainCount, never a silent count.
 
 The new spectra of a cover (the total's less the base's) come from fibre
 projection onto the invariant subspace of vectors summing to zero on every
-fibre, with no eigenvalue matched against another.
+fibre, with no eigenvalue matched against another; above the limit, the
+same subspace carries the Lanczos walk over the new spectrum.
 """
 
 import math
@@ -38,6 +44,7 @@ from .graphs import (
     adjacency_sparse,
     graph_counts,
     hashimoto_matrix,
+    is_connected,
     regularity,
 )
 
@@ -124,6 +131,161 @@ def _inertia_positive_dense(A, shift):
 _LANCZOS_TOLS = (1e-4, 1e-8, 1e-12)
 # rounding allowance added to each residual, in units of the largest |theta|
 _RESIDUAL_ROUNDING = 64 * np.finfo(float).eps
+# The plain Lanczos rung: it checks T_j every _PLAIN_CHECK_EVERY steps and
+# hands over to eigsh after _PLAIN_STEP_CAP steps, or when more than
+# _PLAIN_MAX_ABOVE values sit at or above the threshold.  A Ritz value of
+# T_j counts as converged once beta_j |s_j| <= _PLAIN_TOL |theta|.
+_PLAIN_CHECK_EVERY = 30
+_PLAIN_STEP_CAP = 900
+_PLAIN_MAX_ABOVE = 3
+_PLAIN_TOL = 3e-5
+
+
+class _HandOver(Exception):
+    """The plain Lanczos rung cannot certify this count; eigsh takes it."""
+
+
+def _dot(x, y):
+    """x . y by numpy's own pairwise sum: unlike a BLAS dot, its order of
+    summation does not depend on the number of BLAS threads."""
+    return np.add.reduce(x * y)
+
+
+def _top_clusters(alpha, beta, threshold):
+    """The top eigenvalues theta (ascending) and eigenvectors S of the
+    tridiagonal T_j with diagonal alpha and off-diagonal beta, and the
+    clusters of indices into theta that pass the Cullum-Willoughby test,
+    top first: down to the first below the threshold, or to the first
+    _PLAIN_MAX_ABOVE + 1 at or above it.
+
+    Values within a rounding tolerance of each other form one cluster.
+    Plain Lanczos loses orthogonality as Ritz values converge, so T_j holds
+    ghost copies of a converged value: a cluster of several copies is one
+    genuine value.  A lone value is spurious when it is also a value of
+    T_j without its first row and column (Cullum & Willoughby).  Only the
+    top k eigenpairs are computed, by bisection and inverse iteration, k
+    doubling from 6 until the clusters are complete.
+    """
+    m = len(alpha)
+    k = min(m, 6)
+    while True:
+        theta, S = sla.eigh_tridiagonal(
+            alpha, beta, select="i", select_range=(m - k, m - 1), lapack_driver="stebz")
+        hat = sla.eigvalsh_tridiagonal(
+            alpha[1:], beta[1:], select="i", select_range=(max(0, m - 1 - k), m - 2),
+            lapack_driver="stebz")
+        tol = 16 * m * np.finfo(float).eps * max(1.0, np.max(np.abs(theta)))
+        clusters = []
+        hi = k - 1
+        while hi >= 0:
+            lo = hi
+            while lo > 0 and theta[lo] - theta[lo - 1] <= tol:
+                lo -= 1
+            if lo == 0 and k < m:
+                break  # the cluster may go on below the computed values
+            if lo < hi or not np.any(np.abs(hat - theta[hi]) <= tol):
+                clusters.append(list(range(lo, hi + 1)))
+                if theta[hi] < threshold or len(clusters) > _PLAIN_MAX_ABOVE:
+                    return theta, S, clusters
+            hi = lo - 1
+        if k == m:
+            return theta, S, clusters
+        k = min(m, 2 * k)
+
+
+def _combine(M, X):
+    """The rows sum_i M[i, j] X[i], by numpy's own loops: a threaded BLAS
+    product of these shapes costs more in thread wake-ups than it saves."""
+    return np.einsum("ij,ik->jk", M, X)
+
+
+def _rayleigh_ritz(A, X):
+    """Descending Ritz values of A on the span of the rows of X, and their
+    residual norms ||Ax - theta x|| / ||x||.  The rows are first cut to
+    their numerical rank by the SVD of X, through its Gram matrix."""
+    gram = np.array([[_dot(x, y) for y in X] for x in X])
+    sigma2, W = np.linalg.eigh(gram)
+    keep = sigma2 > 1e-12 * sigma2[-1]
+    Y = _combine(W[:, keep] / np.sqrt(sigma2[keep]), X)
+    AY = np.array([A @ y for y in Y])
+    B = np.array([[_dot(x, y) for y in Y] for x in Y])
+    C = np.array([[_dot(x, y) for y in AY] for x in Y])
+    theta, Z = sla.eigh((C + C.T) / 2, B)
+    theta, Z = theta[::-1], Z[:, ::-1]
+    V, AV = _combine(Z, Y), _combine(Z, AY)
+    res = np.array([
+        math.sqrt(_dot(r, r) / _dot(v, v)) for r, v in zip(AV - theta[:, None] * V, V)
+    ])
+    return theta, res
+
+
+def _residual_bands(vals, res, threshold):
+    """Each Ritz value's certified band, and whether it holds the threshold."""
+    band = res + _RESIDUAL_ROUNDING * np.max(np.abs(vals))
+    return band, np.abs(vals - threshold) <= band
+
+
+def _plain_lanczos(A, v, threshold):
+    """The top Ritz values of A from start vector v down past the threshold,
+    certified as in top_adjacency_eigenvalues, by plain three-term Lanczos;
+    _HandOver when it cannot certify them.
+
+    The recurrence runs in float64 without reorthogonalization and keeps
+    each Lanczos vector as a float32 row.  Every _PLAIN_CHECK_EVERY steps
+    the genuine Ritz values of T_j are found (_top_clusters); with c
+    of them at or above the threshold, the rung stops once each of the top
+    c + 1 has a bound beta_j |s_j| within _PLAIN_TOL |theta| and below its
+    distance to the threshold.  The Ritz vectors of every copy in those
+    clusters then go through Rayleigh-Ritz, and the top c + 1 values are
+    returned when the last lies below the threshold and no residual band
+    holds it.
+    """
+    n = len(v)
+    blocks, alpha, beta = [], [], []
+    q, q_prev, b = v / math.sqrt(_dot(v, v)), np.zeros(n), 0.0
+    for j in range(_PLAIN_STEP_CAP):
+        if j % _PLAIN_CHECK_EVERY == 0:
+            blocks.append(np.empty((_PLAIN_CHECK_EVERY, n), dtype=np.float32))
+        blocks[-1][j % _PLAIN_CHECK_EVERY] = q
+        w = A @ q
+        w -= b * q_prev
+        a = _dot(q, w)
+        w -= a * q
+        b = math.sqrt(_dot(w, w))
+        alpha.append(a)
+        beta.append(b)
+        if b <= 1e-10 * max(1.0, abs(a)):
+            raise _HandOver("invariant subspace")
+        q_prev, q = q, w / b
+        if (j + 1) % _PLAIN_CHECK_EVERY:
+            continue
+        theta, S, window = _top_clusters(np.array(alpha), np.array(beta[:-1]), threshold)
+        c = sum(theta[cluster[-1]] >= threshold for cluster in window)
+        if c > _PLAIN_MAX_ABOVE:
+            raise _HandOver(f"more than {_PLAIN_MAX_ABOVE} values at or above the threshold")
+        if c == len(window) or not all(
+            _converged(theta, S[-1] * b, cluster, threshold) for cluster in window
+        ):
+            continue
+        copies = S[:, [k for cluster in window for k in cluster]].astype(np.float32)
+        X = np.zeros((copies.shape[1], n))
+        for i, block in enumerate(blocks):
+            X += _combine(copies[i * _PLAIN_CHECK_EVERY:(i + 1) * _PLAIN_CHECK_EVERY], block)
+        vals, res = _rayleigh_ritz(A, X)
+        vals, res = vals[: c + 1], res[: c + 1]
+        _, straddling = _residual_bands(vals, res, threshold)
+        if len(vals) != c + 1 or np.sum(vals >= threshold) != c or straddling.any():
+            raise _HandOver("Rayleigh-Ritz does not certify the count")
+        return vals
+    raise _HandOver("step cap")
+
+
+def _converged(theta, bounds, cluster, threshold):
+    """The cluster's best bound beta_j |s_j| is within _PLAIN_TOL of its
+    value and below the value's distance to the threshold."""
+    value = theta[cluster[-1]]
+    bound = np.min(np.abs(bounds[cluster]))
+    return bound <= _PLAIN_TOL * abs(value) and bound < abs(value - threshold)
 
 
 def _ritz_pairs(A, k, which, tol, v0):
@@ -139,23 +301,60 @@ def top_adjacency_eigenvalues(g, threshold, seed=12345):
     """Descending top adjacency eigenvalues down past `threshold`, by
     seeded Lanczos, with the count of those >= threshold certified.
 
-    At each eigsh tolerance in _LANCZOS_TOLS, k doubles from 4 until the
-    smallest Ritz value drops below the threshold (past n - 1 the bottom
-    value is fetched as well).  A is symmetric, so each Ritz pair
-    (theta, x) has an eigenvalue within ||Ax - theta x|| of theta
-    (Parlett).  The values are returned once no such band contains the
-    threshold; otherwise the next, tighter tolerance runs.  If a band still
-    contains it at the last, UncertainCount is raised rather than a count
-    returned.  Residuals cannot reveal an eigenvalue Lanczos missed
-    entirely, such as an unresolved copy of a multiple one.  The start
-    vector is seeded, so results are reproducible run to run.
+    A is symmetric, so each Ritz pair (theta, x) has an eigenvalue within
+    ||Ax - theta x|| of theta (Parlett), and the values are returned once
+    no such band contains the threshold.  A connected graph first takes
+    the plain Lanczos rung (_plain_lanczos), which returns the top c + 1
+    values when c <= _PLAIN_MAX_ABOVE of them sit at or above the
+    threshold.  It hands over to the eigsh ladder at a step cap, an
+    invariant subspace or a band holding the threshold; a disconnected
+    graph goes straight to eigsh, since its top eigenvalue is multiple and
+    one start vector resolves one copy.  At each eigsh tolerance in
+    _LANCZOS_TOLS, k doubles from 4 until the smallest Ritz value drops
+    below the threshold (past n - 1 the bottom value is fetched as well);
+    a band still containing the threshold at the last tolerance raises
+    UncertainCount rather than returning a count.  Residuals cannot reveal
+    an eigenvalue Lanczos missed entirely, such as an unresolved copy of a
+    multiple one.  The start vector is seeded, so results are reproducible
+    run to run, and the rung's are also independent of the BLAS thread
+    count.
     """
-    A = adjacency_sparse(g)
+    if g.vertex_count == 1:
+        # ARPACK needs 0 < k < n; the sole eigenvalue counts the loop edges
+        return np.array([float(g.directed_edge_count)])
+    return _top_eigenvalues(g, adjacency_sparse(g), threshold, seed)
+
+
+def top_new_adjacency_eigenvalues(c, threshold, seed=12345):
+    """top_adjacency_eigenvalues over the new spectrum of a covering map c:
+    Lanczos runs on the vectors summing to zero on every vertex fibre (see
+    new_spectra), so an eigenvalue of the base, which the total graph
+    carries with multiplicity, cannot hide a new one."""
+    if c.degree == 1:
+        return np.array([])
+    fibre_of = c.vertex_map
+    sizes = np.bincount(fibre_of)
+
+    def centred(x):
+        return x - (np.bincount(fibre_of, x, minlength=len(sizes)) / sizes)[fibre_of]
+
+    A = adjacency_sparse(c.total)
+    op = spla.LinearOperator(A.shape, matvec=lambda x: centred(A @ x.ravel()), dtype=float)
+    return _top_eigenvalues(c.total, op, threshold, seed, centred)
+
+
+def _top_eigenvalues(g, A, threshold, seed, centred=None):
+    """The walk of top_adjacency_eigenvalues over operator A on g's
+    vertices, from a start vector passed through centred when given."""
     n = g.vertex_count
-    if n == 1:
-        # ARPACK needs 0 < k < n; the sole eigenvalue is the diagonal entry
-        return A.diagonal()
     v0 = np.random.default_rng(seed).standard_normal(n)
+    if centred is not None:
+        v0 = centred(v0)
+    if is_connected(g):
+        try:
+            return _plain_lanczos(A, v0, threshold)
+        except _HandOver:
+            pass
     k = 4
     for tol in _LANCZOS_TOLS:
         while True:
@@ -171,8 +370,7 @@ def top_adjacency_eigenvalues(g, threshold, seed=12345):
                 res = np.concatenate([res, low_res])
                 break
             k *= 2
-        band = res + _RESIDUAL_ROUNDING * np.max(np.abs(vals))
-        straddling = np.abs(vals - threshold) <= band
+        band, straddling = _residual_bands(vals, res, threshold)
         if not straddling.any():
             return vals
     i = int(np.argmax(straddling))

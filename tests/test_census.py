@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -21,6 +22,7 @@ from nbzeta import (
     classify_non_ramanujan,
     complete_graph,
     new_spectra,
+    parse_graph,
     petersen_graph,
     run_census,
     sample_cover,
@@ -28,7 +30,7 @@ from nbzeta import (
     serialize_graph,
 )
 from nbzeta import census as census_module
-from nbzeta.graphs import regularity
+from nbzeta.graphs import graph_from_pairs, regularity
 from nbzeta.census import aggregate_json, records_csv, reproduce_section8, section8_table
 from nbzeta.spectra import default_tolerances
 
@@ -211,6 +213,17 @@ def test_census_pool_csv_matches_serial(kw, tmp_path):
         runs.append((path.read_bytes(), records_csv(res)))
     assert runs[0] == runs[1]
     assert runs[0][0].decode() == runs[0][1]
+
+
+def test_census_records_do_not_depend_on_worker_count():
+    # n = 30000 takes seeded Lanczos.  A workers=1 census runs in-process
+    # with the caller's BLAS threads, the pool's workers with one each; the
+    # records must agree to the last bit, not only in the CSV's 12 digits
+    kw = dict(model="perm", d=4, n=30_000, samples=4, master_seed=1)
+    serial = run_census(CensusConfig(workers=1, **kw))
+    pooled = run_census(CensusConfig(workers=POOL_WORKERS, **kw))
+    assert serial.failures == 0
+    assert serial.records == pooled.records
 
 
 def test_census_pool_is_reused():
@@ -447,25 +460,68 @@ def test_census_cover_above_dense_limit():
     assert all(abs(r.lambda1 - 3.0) < 1e-6 for r in res.records)
 
 
-def test_census_cover_lanczos_matches_dense(monkeypatch):
-    cfg = _cfg(model="cover", d=3, n=30, samples=6, master_seed=9,
-               base_graph_text=K4_TEXT)
-    dense = run_census(cfg)
+def _prism(k):
+    """C_k x K_2: two k-cycles joined by a perfect matching, 3-regular."""
+    i = np.arange(k)
+    return graph_from_pairs(
+        2 * k,
+        np.concatenate([i, k + i, i]),
+        np.concatenate([(i + 1) % k, k + (i + 1) % k, k + i]),
+    )
+
+
+def _cover_lanczos_against_dense(cfg, monkeypatch, dense_workers=1):
+    """(Lanczos, dense) censuses of a workers=1 cover config: Lanczos
+    forced by a dense limit of 64 vertices, and each total must reach the
+    new-spectrum walk once per sample."""
+    dense = run_census(dataclasses.replace(cfg, workers=dense_workers))
     calls = []
-    real = census_module.top_adjacency_eigenvalues
+    real = census_module.top_new_adjacency_eigenvalues
 
-    def counting(g, *args, **kw):
-        calls.append(g.vertex_count)
-        return real(g, *args, **kw)
+    def counting(c, *args, **kw):
+        calls.append(c.total.vertex_count)
+        return real(c, *args, **kw)
 
-    monkeypatch.setattr(census_module, "top_adjacency_eigenvalues", counting)
+    monkeypatch.setattr(census_module, "top_new_adjacency_eigenvalues", counting)
     monkeypatch.setattr(census_module, "DENSE_EIG_LIMIT", 64)
     sparse = run_census(cfg)
-    assert calls == [120] * 6
+    base = parse_graph(cfg.base_graph_text)
+    assert calls == [cfg.n * base.vertex_count] * cfg.samples
     assert sparse.failures == 0
     assert [r.count for r in sparse.records] == [r.count for r in dense.records]
     for s, d in zip(sparse.records, dense.records):
         assert abs(s.lambda1 - d.lambda1) <= 1e-8
+    return sparse, dense
+
+
+def test_census_cover_lanczos_matches_dense(monkeypatch):
+    cfg = _cfg(model="cover", d=3, n=30, samples=6, master_seed=9,
+               base_graph_text=K4_TEXT)
+    _cover_lanczos_against_dense(cfg, monkeypatch)
+
+
+def _prism(k):
+    """C_k x K_2: two k-cycles joined by a perfect matching, 3-regular."""
+    i = np.arange(k)
+    return graph_from_pairs(
+        2 * k,
+        np.concatenate([i, k + i, i]),
+        np.concatenate([(i + 1) % k, k + (i + 1) % k, k + i]),
+    )
+
+
+def test_census_cover_lanczos_base_eigenvalue_twice(monkeypatch):
+    # the prism's lambda = 1 + 2 cos(pi/10) = 2.902 >= 2 sqrt 2 is double;
+    # a single Lanczos start on the total resolves one copy of it, so the
+    # counts went below zero before the walk ran on the new spectrum alone
+    cfg = _cfg(model="cover", d=3, n=30, samples=8, master_seed=1,
+               base_graph_text=serialize_graph(_prism(20)))
+    # the dense census of 1200-vertex totals runs faster on the pool, one
+    # BLAS thread per eigvalsh
+    sparse, dense = _cover_lanczos_against_dense(cfg, monkeypatch, POOL_WORKERS)
+    assert all(r.count >= 0 for r in sparse.records)
+    for s, d in zip(sparse.records, dense.records):
+        assert abs(s.lambda2 - d.lambda2) <= 1e-6
 
 
 def test_section8_table_shape():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from nbzeta import (
     ContourSpec,
@@ -17,11 +18,13 @@ from nbzeta import (
     parse_graph,
     petersen_graph,
     sample_cover,
+    sample_matching_model,
     sample_permutation_model,
+    sample_single_cycle_model,
     tr_hashimoto_power,
 )
 from nbzeta import spectra
-from nbzeta.graphs import regularity
+from nbzeta.graphs import is_connected, regularity
 
 from conftest import (
     DATA_DIR,
@@ -204,6 +207,92 @@ def test_count_geq_lanczos_threshold_at_eigenvalue_is_uncertain(g, monkeypatch):
     err = exc.value
     assert err.threshold == d
     assert abs(err.theta - d) <= err.residual < 1e-10
+
+
+class _CountingOperator(spla.LinearOperator):
+    """A LinearOperator around a matrix that counts its products, as a
+    profiler counting matrix-vector products would wrap the adjacency."""
+
+    def __init__(self, A):
+        self._inner = spla.aslinearoperator(A)
+        self.products = 0
+        super().__init__(dtype=self._inner.dtype, shape=self._inner.shape)
+
+    def _matvec(self, x):
+        self.products += 1
+        return self._inner.matvec(x)
+
+
+@pytest.mark.parametrize("g", [sample_permutation_model(500, 4, 7),
+                               _two_perm_halves(250, 3), build_bouquet(2, 0)],
+                         ids=["perm-500", "halves", "bouquet(2,0)"])
+def test_top_eigenvalues_through_a_linear_operator(g, monkeypatch):
+    # adjacency_sparse swapped for a one-argument function returning a
+    # LinearOperator: both rungs, and the one-vertex entry, take only
+    # products from it and return the same values bit for bit
+    t = 2 * np.sqrt(3)
+    plain = spectra.top_adjacency_eigenvalues(g, t, seed=7)
+    operators = []
+    original = spectra.adjacency_sparse
+
+    def counting(h):
+        operators.append(_CountingOperator(original(h)))
+        return operators[-1]
+
+    monkeypatch.setattr(spectra, "adjacency_sparse", counting)
+    counted = spectra.top_adjacency_eigenvalues(g, t, seed=7)
+    assert np.array_equal(plain, counted)
+    if g.vertex_count > 1:
+        assert operators[0].products > 0
+
+
+def _refuse_eigsh(*args, **kw):
+    raise AssertionError("eigsh called")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_plain_lanczos_rung_is_taken(seed, monkeypatch):
+    # a connected perm sample is counted by the plain rung, never eigsh
+    g = sample_permutation_model(1500, 4, seed)
+    t = 2 * np.sqrt(3) - 4e-9
+    assert is_connected(g)
+    dense = count_adjacency_eigenvalues_geq(g, t, 0.0)
+    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", g.vertex_count - 1)
+    monkeypatch.setattr(spectra.spla, "eigsh", _refuse_eigsh)
+    assert count_adjacency_eigenvalues_geq(g, t, 0.0) == dense
+
+
+PLAIN_CORPUS = {
+    **{f"{name}-{seed}": (lambda model=model, seed=seed: model(1200, 4, seed))
+       for name, model in (("perm", sample_permutation_model),
+                           ("cycle", sample_single_cycle_model))
+       for seed in (1, 2)},
+    **{f"match-{seed}": (lambda seed=seed: sample_matching_model(1200, 3, seed))
+       for seed in (1, 2)},
+    **{f"cover-{name}-{seed}": (lambda base=base, sheets=sheets, seed=seed:
+                                sample_cover(base(), sheets, seed).total)
+       for name, base, sheets in (("k4", lambda: complete_graph(4), 300),
+                                  ("petersen", petersen_graph, 120))
+       for seed in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN_CORPUS))
+def test_plain_lanczos_accuracy(name, monkeypatch):
+    # plain Lanczos keeps ghost copies of converged values (here the perm,
+    # cycle and match graphs stop with 3-5 copies in the window); every
+    # copy goes into the Rayleigh-Ritz step, so lambda1 = d to 1e-8 and
+    # lambda2 is that of the dense spectrum to 1e-6
+    g = PLAIN_CORPUS[name]()
+    d = regularity(g)
+    t = 2 * np.sqrt(d - 1) - 1e-9 * d
+    dense = adjacency_spectrum(g)
+    assert is_connected(g)
+    monkeypatch.setattr(spectra.spla, "eigsh", _refuse_eigsh)
+    vals = spectra.top_adjacency_eigenvalues(g, t)
+    assert np.sum(vals >= t) == np.sum(dense >= t)
+    assert abs(vals[0] - d) <= 1e-8
+    assert abs(vals[1] - dense[1]) <= 1e-6
 
 
 def test_hashimoto_spectrum_k4():
