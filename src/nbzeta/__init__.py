@@ -2,7 +2,6 @@
 of regular multigraphs with half- and whole-loops."""
 
 from .errors import (
-    FactorizationBreakdown,
     IdentityViolation,
     IllConditioned,
     IndexOutOfRange,

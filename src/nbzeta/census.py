@@ -7,24 +7,24 @@ records (index, seed, count, lambda1, lambda2).  A cover counts its new
 spectrum, the total spectrum less the base's (a sub-multiset, since
 functions constant on fibres are invariant under A): its count is the
 total graph's count minus the base's.  Every model takes one route: a
-dense eigensolve up to DENSE_EIG_LIMIT vertices, seeded Lanczos above it;
-there a cover's Lanczos runs on the new spectrum alone, and the base's
-values are merged in.  A Lanczos count is certified by residual bands
-(see spectra.top_adjacency_eigenvalues); lambda1 and lambda2 are then
-Ritz values from the rung that certified it: the plain Lanczos rung
-(lambda2 to about 1e-7) or eigsh at the tolerance that certified it.  A
-sample whose count cannot be certified raises UncertainCount and is
-recorded as a failure with its reason, never counted.  Reruns with the
-same config are byte-identical and longer runs extend shorter ones record
-for record.
+dense eigensolve up to spectra.DENSE_EIG_LIMIT vertices, read when called,
+and seeded Lanczos above it; there a cover's Lanczos runs on the new
+spectrum alone, and the base's values are merged in.  A Lanczos count is
+certified by residual bands (see spectra.top_adjacency_eigenvalues);
+lambda1 and lambda2 are then Ritz values from the rung that certified it:
+the plain Lanczos rung (lambda2 to about 1e-7) or eigsh at the tolerance
+that certified it.  A sample whose count cannot be certified raises
+UncertainCount and is recorded as a failure with its reason, never
+counted.  Reruns with the same config are byte-identical and longer runs
+extend shorter ones record for record.
 
 With workers > 1 the samples run on a persistent process pool: forkserver
 workers with one BLAS thread each, built on the first such census and kept
 for the next ones.  Records, the CSV and progress stay in sample order in
 the calling process.  A forkserver worker re-imports the main script, so a
 script that runs a parallel census needs the `if __name__ == "__main__":`
-guard; and a worker sees the module as imported, so monkeypatches of this
-module's globals reach only workers=1 censuses, which run in-process.
+guard; and a worker sees the modules as imported, so monkeypatches of
+module globals reach only workers=1 censuses, which run in-process.
 """
 
 import csv
@@ -45,9 +45,9 @@ from .models import (
     sample_permutation_model,
     sample_single_cycle_model,
 )
+from . import spectra
 from .rng import derive_seed
 from .spectra import (
-    DENSE_EIG_LIMIT,
     default_tolerances,
     new_spectra,  # noqa: F401  perfbench/tracing.py wraps this name
     top_adjacency_eigenvalues,
@@ -104,10 +104,10 @@ class CensusConfig:
         if self.model == "cover":
             base = self._cover_base()
             vertices *= base.vertex_count
-        if self.mode == "strict_nonramanujan" and vertices > DENSE_EIG_LIMIT:
+        if self.mode == "strict_nonramanujan" and vertices > spectra.DENSE_EIG_LIMIT:
             raise InvalidParams(
                 f"strict mode needs the dense spectrum: {vertices} vertices "
-                f"exceed {DENSE_EIG_LIMIT}"
+                f"exceed {spectra.DENSE_EIG_LIMIT}"
             )
         return base
 
@@ -181,7 +181,7 @@ def _top_eigenvalues(g, d, tol, seed, cover=None, base_top=None):
     limit, else the top ones down past the threshold by seeded Lanczos.
     Above the limit, the total graph of a cover takes Lanczos on its new
     spectrum alone, merged with base_top, the base's own top values."""
-    if g.vertex_count <= DENSE_EIG_LIMIT:
+    if g.vertex_count <= spectra.DENSE_EIG_LIMIT:
         return np.linalg.eigvalsh(adjacency_matrix(g).astype(float))[::-1]
     threshold = 2 * math.sqrt(d - 1) - tol
     if cover is None:

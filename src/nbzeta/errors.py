@@ -49,10 +49,6 @@ class IdentityViolation(NbzetaError):
         self.rhs = rhs
 
 
-class FactorizationBreakdown(NbzetaError):
-    """Symmetric factorization kept hitting near-zero pivots after retries."""
-
-
 class LanczosBreakdown(NbzetaError):
     """Exact Lanczos met an isotropic vector for every prime after its
     bounded number of restarts."""

@@ -151,15 +151,36 @@ def adjacency_sparse(g, dtype=float):
     )
 
 
-def is_connected(g):
-    """True when g has exactly one connected component."""
+def _components(n, tails, heads):
+    """(count, labels) of the connected components of the graph on n
+    vertices linking each tails[k] with heads[k]."""
     from scipy.sparse.csgraph import connected_components
 
+    links = sp.coo_matrix((np.ones(len(tails), dtype=bool), (tails, heads)), shape=(n, n))
+    return connected_components(links, directed=False)
+
+
+def is_connected(g):
+    """True when g has exactly one connected component."""
+    return _components(g.vertex_count, g.tails, g.heads)[0] == 1
+
+
+def component_counts(g):
+    """(components, bipartite components) of g.
+
+    Its bipartite double cover has vertex (v, s) at v + s*n and lifts each
+    directed edge t -> h to (t, 0)-(h, 1); the opposite edge h -> t lifts
+    to (h, 0)-(t, 1).  A bipartite component lifts to two components, with
+    (v, 0) and (v, 1) in different ones; any other component lifts to one,
+    since an odd closed walk, a loop included, joins (v, 0) to (v, 1).  So
+    the cover has components plus bipartite components in all.  An
+    isolated vertex is a bipartite component.
+    """
     n = g.vertex_count
-    links = sp.coo_matrix(
-        (np.ones(g.directed_edge_count, dtype=bool), (g.tails, g.heads)), shape=(n, n)
-    )
-    return connected_components(links, directed=False, return_labels=False) == 1
+    count, labels = _components(2 * n, g.tails, g.heads + n)
+    joined = labels[:n][labels[:n] == labels[n:]]
+    bipartite = (count - len(np.unique(joined))) // 2
+    return count - bipartite, bipartite
 
 
 def directed_line_graph(g):

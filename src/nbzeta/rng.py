@@ -61,11 +61,9 @@ class SeedStream:
         self._state = seed & MASK64
 
     def next64(self):
+        word = splitmix64(self._state)
         self._state = (self._state + GOLDEN) & MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-        return z ^ (z >> 31)
+        return word
 
     def randbelow(self, n):
         """Uniform integer in [0, n) by rejection; no modulo bias."""

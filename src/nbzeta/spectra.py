@@ -27,18 +27,13 @@ same subspace carries the Lanczos walk over the new spectrum.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .errors import (
-    FactorizationBreakdown,
-    InvalidParams,
-    TooLarge,
-    UncertainCount,
-)
+from .errors import InvalidParams, TooLarge, UncertainCount
 from .graphs import (
     adjacency_matrix,
     adjacency_sparse,
@@ -62,7 +57,6 @@ class NonRamanujanReport:
     h_negative: int
     a_positive: int
     a_negative: int
-    witnesses: list = field(default_factory=list)
 
     @property
     def is_ramanujan(self):
@@ -87,43 +81,35 @@ def adjacency_spectrum(g):
     return w[::-1]
 
 
-def _inertia_positive_dense(A, shift):
-    """Number of eigenvalues of A strictly above shift, via LDL^T inertia.
-
-    Returns (count_above, zero_pivots): pivots within a tiny band of zero
-    signal an eigenvalue essentially at the shift.
-    """
+def _count_at_or_above(A, shift):
+    """Number of eigenvalues of A at or above shift, from the inertia of
+    one LDL^T factorization of A - shift I; a pivot within a tiny band of
+    zero is an eigenvalue at the shift and counts."""
     n = A.shape[0]
     _, D, _ = sla.ldl(A - shift * np.eye(n))
     scale = max(1.0, float(np.max(np.abs(A))) + abs(shift))
     zero_band = 1e-12 * scale
-    pos = zeros = 0
+    count = 0
     i = 0
     while i < n:
         off = D[i + 1, i] if i + 1 < n else 0.0
         if abs(off) <= zero_band:
-            piv = D[i, i]
-            if piv > zero_band:
-                pos += 1
-            elif piv >= -zero_band:
-                zeros += 1
+            if D[i, i] >= -zero_band:
+                count += 1
             i += 1
         else:
             # 2x2 block: eigenvalue signs from trace and determinant
             a, b, c = D[i, i], off, D[i + 1, i + 1]
             det = a * c - b * b
-            tr = a + c
             if det < -zero_band * zero_band:
-                pos += 1
+                count += 1
             elif det > zero_band * zero_band:
-                if tr > 0:
-                    pos += 2
+                if a + c > 0:
+                    count += 2
             else:
-                zeros += 1
-                if tr > zero_band:
-                    pos += 1
+                count += 2 if a + c > zero_band else 1
             i += 2
-    return pos, zeros
+    return count
 
 
 # eigsh tolerances tried in turn until every Ritz value is certified on
@@ -381,11 +367,12 @@ def count_adjacency_eigenvalues_geq(g, t, tol):
     """Number of adjacency eigenvalues lambda with lambda >= t - tol.
 
     t and tol must be finite and tol nonnegative, else ValueError.  Graphs
-    of at most DENSE_EIG_LIMIT vertices go through shifted LDL^T inertia:
-    a pivot at the shift means an eigenvalue sits exactly at t - tol, and
-    the shift is then nudged down so the count keeps its ">=" meaning.
-    Larger graphs go through the residual-certified Lanczos walk of
-    top_adjacency_eigenvalues, which raises UncertainCount instead.
+    of at most DENSE_EIG_LIMIT vertices take one LDL^T factorization of
+    A - (t - tol) I and count its nonnegative inertia: a pivot within
+    rounding of zero is an eigenvalue at t - tol and counts as at or
+    above.  Larger graphs go through the residual-certified Lanczos walk
+    of top_adjacency_eigenvalues, which raises UncertainCount when a
+    residual band holds t - tol: the routes differ on an eigenvalue there.
     """
     if not (math.isfinite(t) and math.isfinite(tol)):
         raise ValueError(f"t and tol must be finite, not {t!r} and {tol!r}")
@@ -396,19 +383,7 @@ def count_adjacency_eigenvalues_geq(g, t, tol):
     shift = t - tol
     if g.vertex_count > DENSE_EIG_LIMIT:
         return int(np.sum(top_adjacency_eigenvalues(g, shift) >= shift))
-    A = adjacency_matrix(g).astype(float)
-    jitter = max(1e-12, 1e-9 * max(1.0, abs(shift)))
-    for attempt in range(4):
-        try:
-            pos, zeros = _inertia_positive_dense(A, shift - attempt * jitter)
-        except Exception as exc:  # LAPACK breakdown
-            if attempt == 3:
-                raise FactorizationBreakdown(str(exc)) from exc
-            continue
-        if zeros == 0:
-            return pos
-        # eigenvalue at the shift: move the shift down to include it
-    raise FactorizationBreakdown("persistent zero pivots at jittered shifts")
+    return _count_at_or_above(adjacency_matrix(g).astype(float), shift)
 
 
 def hashimoto_spectrum(g):
@@ -470,7 +445,6 @@ def classify_non_ramanujan(g):
     special = (1.0, -1.0, sq, -sq, float(d - 1), -float(d - 1))
 
     h_pos = h_neg = 0
-    witnesses = []
     for mu in _ihara_roots(adjacency, d, *_loop_counts(g)):
         if abs(mu.imag) > real_tol:
             continue
@@ -481,7 +455,6 @@ def classify_non_ramanujan(g):
             h_pos += 1
         else:
             h_neg += 1
-        witnesses.append(complex(mu))
 
     lo, hi = 2 * sq, float(d)
     a_pos = a_neg = 0
@@ -492,13 +465,11 @@ def classify_non_ramanujan(g):
                 a_pos += 1
             else:
                 a_neg += 1
-            witnesses.append(float(lam))
     return NonRamanujanReport(
         h_positive=h_pos,
         h_negative=h_neg,
         a_positive=a_pos,
         a_negative=a_neg,
-        witnesses=witnesses,
     )
 
 

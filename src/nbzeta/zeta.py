@@ -31,7 +31,13 @@ from .errors import (
     NearPole,
     TooLarge,
 )
-from .graphs import adjacency_matrix, graph_counts, hashimoto_matrix, regularity
+from .graphs import (
+    adjacency_matrix,
+    component_counts,
+    graph_counts,
+    hashimoto_matrix,
+    regularity,
+)
 from .spectra import hashimoto_spectrum
 from .traces import tr_hashimoto_power
 
@@ -72,8 +78,6 @@ class SeriesAtInfinity:
     """Coefficients c_k = Tr(H^k)(d-1)^(-k) of L at infinity, exact."""
 
     coefficients: tuple  # Fractions
-    truncation: int
-    d: int
 
 
 @dataclass(frozen=True)
@@ -81,8 +85,6 @@ class IharaReport:
     holds: bool
     lhs: list
     rhs: list
-    half_loops: int
-    d: int
 
 
 @dataclass(frozen=True)
@@ -152,32 +154,6 @@ def _cached_charpoly(shape, dtype, data):
     return tuple(charpoly(np.frombuffer(data, dtype=dtype).reshape(shape)))
 
 
-def _component_counts(g):
-    """(components, bipartite components) of g, by BFS 2-colouring; a loop
-    makes its component non-bipartite, and an isolated vertex counts as a
-    bipartite component."""
-    neighbours = [[] for _ in range(g.vertex_count)]
-    for t, h in zip(g.tails.tolist(), g.heads.tolist()):
-        neighbours[t].append(h)
-    colour = [-1] * g.vertex_count
-    components = bipartite = 0
-    for s in range(g.vertex_count):
-        if colour[s] >= 0:
-            continue
-        colour[s], stack, two_coloured = 0, [s], True
-        while stack:
-            v = stack.pop()
-            for w in neighbours[v]:
-                if colour[w] < 0:
-                    colour[w] = 1 - colour[v]
-                    stack.append(w)
-                elif colour[w] == colour[v]:
-                    two_coloured = False
-        components += 1
-        bipartite += two_coloured
-    return components, bipartite
-
-
 def _hashimoto_invariant(g):
     """(G, a, b): H = P_J (T T^T - I), T the m x n tail incidence, leaves
     W = {x(e) = f(tail e) + g(head e)} invariant, spanned by the columns
@@ -185,7 +161,7 @@ def _hashimoto_invariant(g):
     V/W, so det(mu I - H) = (mu-1)^a (mu+1)^b det(mu I - H|_W) with
     a = |pair| - |V| + c and b = |pair| + |half| - |V| + c_bip."""
     counts = graph_counts(g)
-    c, c_bip = _component_counts(g)
+    c, c_bip = component_counts(g)
     _, tail = np.unique(g.tails, return_inverse=True)
     r = int(tail.max()) + 1 if tail.size else 0
     G = np.zeros((g.directed_edge_count, 2 * r), dtype=np.int64)
@@ -294,7 +270,7 @@ def verify_ihara(g):
     rhs = _pencil_side(_adjacency_charpoly(g), d, counts)
     if lhs != rhs:
         raise IdentityViolation("Ihara identity failed", lhs=lhs, rhs=rhs)
-    return IharaReport(True, lhs, rhs, counts.half_loops, d)
+    return IharaReport(True, lhs, rhs)
 
 
 def essential_log_derivative_coeffs(g, K):
@@ -310,7 +286,7 @@ def essential_log_derivative_coeffs(g, K):
         # d=1 graphs (bouquets of one half-loop per vertex) have H = 0, so
         # every positive trace vanishes and the 0^(-k) scale never bites
         coeffs.append(Fraction(0) if t == 0 else Fraction(t, (d - 1) ** k))
-    return SeriesAtInfinity(coefficients=tuple(coeffs), truncation=K, d=d)
+    return SeriesAtInfinity(coefficients=tuple(coeffs))
 
 
 def _scaled_poles(g):

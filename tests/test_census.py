@@ -30,6 +30,7 @@ from nbzeta import (
     serialize_graph,
 )
 from nbzeta import census as census_module
+from nbzeta import spectra
 from nbzeta.graphs import graph_from_pairs, regularity
 from nbzeta.census import aggregate_json, records_csv, reproduce_section8, section8_table
 from nbzeta.spectra import default_tolerances
@@ -50,6 +51,12 @@ def test_config_validation():
         _cfg(model="cover").validate()
     with pytest.raises(InvalidParams):
         _cfg(samples=0).validate()
+    with pytest.raises(InvalidParams, match="unknown model"):
+        _cfg(model="torus").validate()
+    with pytest.raises(InvalidParams, match="unknown mode"):
+        _cfg(mode="at_most_2sqrt").validate()
+    with pytest.raises(InvalidParams, match="cycle model"):
+        _cfg(model="cycle", n=1).validate()
     _cfg().validate()
 
 
@@ -94,7 +101,7 @@ def test_config_rejects_nonpositive_workers():
 
 
 def test_config_rejects_strict_mode_above_dense_limit():
-    limit = census_module.DENSE_EIG_LIMIT
+    limit = spectra.DENSE_EIG_LIMIT
     with pytest.raises(InvalidParams):
         _cfg(mode="strict_nonramanujan", n=limit + 2).validate()
     _cfg(mode="strict_nonramanujan", n=limit).validate()
@@ -249,6 +256,11 @@ def test_census_broken_pool_raises_then_recovers():
     victim = _pool_pids()[0]
     os.kill(victim, signal.SIGKILL)
     assert _wait_dead([victim]) == []
+    # the executor's manager thread marks the pool broken on its own time;
+    # a census submitted before that may finish on the surviving worker
+    deadline = time.monotonic() + 30.0
+    while not census_module._POOL._broken and time.monotonic() < deadline:
+        time.sleep(0.05)
     with pytest.raises(BrokenProcessPool):
         run_census(_cfg(samples=8, workers=POOL_WORKERS))
     assert census_module._POOL is None
@@ -483,7 +495,7 @@ def _cover_lanczos_against_dense(cfg, monkeypatch, dense_workers=1):
         return real(c, *args, **kw)
 
     monkeypatch.setattr(census_module, "top_new_adjacency_eigenvalues", counting)
-    monkeypatch.setattr(census_module, "DENSE_EIG_LIMIT", 64)
+    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 64)
     sparse = run_census(cfg)
     base = parse_graph(cfg.base_graph_text)
     assert calls == [cfg.n * base.vertex_count] * cfg.samples
@@ -498,16 +510,6 @@ def test_census_cover_lanczos_matches_dense(monkeypatch):
     cfg = _cfg(model="cover", d=3, n=30, samples=6, master_seed=9,
                base_graph_text=K4_TEXT)
     _cover_lanczos_against_dense(cfg, monkeypatch)
-
-
-def _prism(k):
-    """C_k x K_2: two k-cycles joined by a perfect matching, 3-regular."""
-    i = np.arange(k)
-    return graph_from_pairs(
-        2 * k,
-        np.concatenate([i, k + i, i]),
-        np.concatenate([(i + 1) % k, k + (i + 1) % k, k + i]),
-    )
 
 
 def test_census_cover_lanczos_base_eigenvalue_twice(monkeypatch):
@@ -602,7 +604,7 @@ def test_census_records_uncertain_count(monkeypatch):
         return real(g, 4.0, seed=seed)
 
     monkeypatch.setattr(census_module, "top_adjacency_eigenvalues", at_top)
-    monkeypatch.setattr(census_module, "DENSE_EIG_LIMIT", 64)
+    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 64)
     res = run_census(_cfg(n=100, samples=4))
     assert res.samples == 0 and res.failures == 4
     assert sum(res.failure_reasons.values()) == 4

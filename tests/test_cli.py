@@ -162,13 +162,16 @@ def test_cli_traces_exact_rejects_other_models(capsys, model):
     assert "error:" in captured.err and "perm" in captured.err
 
 
-def test_cli_traces_monte_carlo(capsys):
+@pytest.mark.parametrize("model, k", [("perm", 2), ("cycle", 2), ("match", 4)],
+                         ids=["perm", "cycle", "match"])
+def test_cli_traces_monte_carlo(model, k, capsys):
     rc = main([
-        "traces", "--model", "perm", "--n", "6", "--d", "4", "--k", "2",
+        "traces", "--model", model, "--n", "6", "--d", "4", "--k", str(k),
         "--samples", "50", "--seed", "9",
     ])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
+    assert out["model"] == model
     assert out["samples"] == 50 and out["mean"] > 0
 
 

@@ -22,9 +22,9 @@ from nbzeta import (
     sample_single_cycle_model,
     serialize_graph,
 )
-from nbzeta.graphs import degrees, regularity
+from nbzeta.graphs import component_counts, degrees, graph_from_pairs, regularity
 
-from conftest import random_regular_corpus
+from conftest import named_corpus, random_regular_corpus
 
 
 def test_build_k4_counts():
@@ -289,3 +289,70 @@ def test_build_rejects_edges_that_are_not_pairs():
         build_graph(2, [(0, 1, 0), (1, 0, 1)], [1, 0])
     with pytest.raises(ValueError):
         build_graph(2, np.zeros((2, 2, 1), dtype=np.int64), [1, 0])
+
+
+def _nullity(M):
+    """Number of zero eigenvalues of the symmetric integer matrix M."""
+    return int(np.sum(np.linalg.eigvalsh(M.astype(float)) < 1e-9))
+
+
+def _laplacian_component_counts(g):
+    """(components, bipartite components) as the nullities of the Laplacian
+    D - A and the signless Laplacian D + A.  x^T (D + A) x sums
+    (x_u + x_v)^2 over the edges, so a loop forces x_v = 0 and makes its
+    component non-bipartite; an isolated vertex is a zero row of both."""
+    A = adjacency_matrix(g)
+    D = np.diag(degrees(g))
+    return _nullity(D - A), _nullity(D + A)
+
+
+def _random_multigraph(rng):
+    """Up to 11 vertices, some isolated, with whole-loops and half-loops."""
+    n = int(rng.integers(0, 12))
+    pairs = int(rng.integers(0, 2 * n + 1))
+    ends = rng.integers(0, max(n, 1), size=(2, pairs))
+    half = rng.integers(0, max(n, 1), size=int(rng.integers(0, 3)) if n else 0)
+    return graph_from_pairs(n, ends[0], ends[1], half)
+
+
+def _disjoint_union(g, h):
+    shift = g.directed_edge_count
+    return build_graph(
+        g.vertex_count + h.vertex_count,
+        np.concatenate([np.column_stack([g.tails, g.heads]),
+                        np.column_stack([h.tails, h.heads]) + g.vertex_count]),
+        np.concatenate([g.involution, h.involution + shift]),
+    )
+
+
+def _cycle(k):
+    return graph_from_pairs(k, np.arange(k), (np.arange(k) + 1) % k)
+
+
+@pytest.mark.parametrize("g, expected", [
+    (build_graph(0, [], []), (0, 0)),
+    (build_graph(3, [], []), (3, 3)),
+    (_cycle(5), (1, 0)),
+    (_cycle(6), (1, 1)),
+    (_disjoint_union(_cycle(5), _cycle(6)), (2, 1)),
+    (_disjoint_union(sample_permutation_model(30, 4, 1),
+                     sample_permutation_model(30, 4, 2)), (2, 0)),
+    (build_bouquet(2, 0), (1, 0)),
+    (build_bouquet(0, 1), (1, 0)),
+    (graph_from_pairs(4, [0, 2], [1, 3], [3]), (2, 1)),
+    (graph_from_pairs(3, [0], [1]), (2, 2)),
+], ids=["empty", "isolated", "C5", "C6", "C5+C6", "two-perm-halves",
+        "bouquet(2,0)", "bouquet(0,1)", "half-loop-component", "edge+isolated"])
+def test_component_counts_examples(g, expected):
+    assert component_counts(g) == _laplacian_component_counts(g) == expected
+
+
+def test_component_counts_match_laplacian_nullities():
+    for name, g in named_corpus():
+        assert component_counts(g) == _laplacian_component_counts(g), name
+    for g in random_regular_corpus(10, seed=4, max_vertices=20):
+        assert component_counts(g) == _laplacian_component_counts(g)
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        g = _random_multigraph(rng)
+        assert component_counts(g) == _laplacian_component_counts(g)

@@ -113,13 +113,15 @@ def test_count_geq_rejects_non_finite_input(monkeypatch, t, tol):
     def refuse(A, shift):
         raise AssertionError("factorized for a non-finite input")
 
-    monkeypatch.setattr(spectra, "_inertia_positive_dense", refuse)
+    monkeypatch.setattr(spectra, "_count_at_or_above", refuse)
     with pytest.raises(ValueError):
         count_adjacency_eigenvalues_geq(complete_graph(4), t, tol)
 
 
 def test_count_geq_sparse_path(monkeypatch):
-    g = sample_permutation_model(5000, 4, seed=2)
+    # n below DENSE_EIG_LIMIT, so the first count takes the dense route
+    g = sample_permutation_model(3000, 4, seed=2)
+    assert g.vertex_count <= spectra.DENSE_EIG_LIMIT
     t = 2 * np.sqrt(3)
     n_dense = count_adjacency_eigenvalues_geq(g, t, 1e-9)
     # force the sparse path with a reduced dense limit

@@ -5,11 +5,13 @@ import pytest
 
 from nbzeta import (
     IllConditioned,
+    InvalidParams,
     TooLarge,
     build_bouquet,
     build_graph,
     complete_graph,
     count_closed_nb_walks,
+    derive_seed,
     estimate_expected_trace,
     exact_expected_trace_small,
     fit_expansion_coefficients,
@@ -19,6 +21,7 @@ from nbzeta import (
     sample_cover,
     sample_matching_model,
     sample_permutation_model,
+    sample_single_cycle_model,
     tr_hashimoto_power,
 )
 from nbzeta import traces
@@ -178,12 +181,33 @@ def test_estimate_forced_n1():
     assert est.stderr == 0.0
 
 
-def test_estimate_reproducible_and_prefix():
-    a = estimate_expected_trace("perm", 6, 4, 3, samples=40, master_seed=11)
-    b = estimate_expected_trace("perm", 6, 4, 3, samples=40, master_seed=11)
+@pytest.mark.parametrize("model, n, d, k, draw", [
+    ("perm", 6, 4, 3, lambda seed: sample_permutation_model(6, 4, seed)),
+    ("cycle", 6, 4, 3, lambda seed: sample_single_cycle_model(6, 4, seed)),
+    # k = 4: a 3-regular matching sample has few closed walks of length 3
+    ("match", 6, 3, 4, lambda seed: sample_matching_model(6, 3, seed)),
+    # 5 sheets over K4: 60 directed edges, within the walk oracle's limit
+    ("cover", 5, 3, 3, lambda seed: sample_cover(complete_graph(4), 5, seed).total),
+], ids=["perm", "cycle", "match", "cover"])
+def test_estimate_reproducible_and_prefix(model, n, d, k, draw):
+    base = complete_graph(4) if model == "cover" else None
+    a = estimate_expected_trace(model, n, d, k, samples=40, master_seed=11, base=base)
+    b = estimate_expected_trace(model, n, d, k, samples=40, master_seed=11, base=base)
     assert a == b
-    longer = estimate_expected_trace("perm", 6, 4, 3, samples=80, master_seed=11)
+    longer = estimate_expected_trace(model, n, d, k, samples=80, master_seed=11, base=base)
     assert longer.values[:40] == a.values
+    # each value is the trace of the graph drawn from the sample's seed
+    assert a.values == tuple(
+        count_closed_nb_walks(draw(derive_seed(11, i)), k) for i in range(40)
+    )
+    assert any(a.values)
+
+
+def test_estimate_rejects_unknown_model_and_missing_base():
+    with pytest.raises(InvalidParams, match="unknown model"):
+        estimate_expected_trace("torus", 6, 4, 3, samples=2, master_seed=1)
+    with pytest.raises(InvalidParams, match="base graph"):
+        estimate_expected_trace("cover", 6, 3, 3, samples=2, master_seed=1)
 
 
 def test_exact_expected_trace_tiny():

@@ -284,11 +284,14 @@ def test_essential_series_bound():
 def test_evaluate_L_exact_values():
     assert evaluate_L(complete_graph(4), 2) == Fraction(344, 55)
     assert evaluate_L(build_bouquet(2, 0), 2) == Fraction(92, 35)
+    # d = 1: H = 0, so L(u) = m/u with m = 1 directed edge
+    assert evaluate_L(build_bouquet(0, 1), 2) == Fraction(1, 2)
 
 
 def test_evaluate_L_float_matches_exact():
     g = complete_graph(4)
     assert abs(evaluate_L(g, 2.0) - 344 / 55) < 1e-10
+    assert abs(evaluate_L(build_bouquet(0, 1), 2.0) - 0.5) < 1e-15
 
 
 def test_evaluate_L_large_u_limit():
@@ -304,6 +307,9 @@ def test_evaluate_L_near_pole_raises():
         evaluate_L(g, 1)  # mu = d-1 = 2 maps to pole u = 1
     with pytest.raises(NearPole):
         evaluate_L(g, 0.5 + 1e-14)
+    for u in (0, 0.0):  # the exact and the float branch
+        with pytest.raises(NearPole):
+            evaluate_L(build_bouquet(0, 1), u)
 
 
 def test_e_rational_value_and_poles():
