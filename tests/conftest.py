@@ -41,6 +41,23 @@ def k5_minus_edge_ring(blocks=4):
     return build_graph(5 * blocks, edges, inv)
 
 
+def disjoint_union(g, h):
+    """g and h side by side: h's vertices and directed edges follow g's."""
+    return build_graph(
+        g.vertex_count + h.vertex_count,
+        np.concatenate([np.column_stack([g.tails, g.heads]),
+                        np.column_stack([h.tails, h.heads]) + g.vertex_count]),
+        np.concatenate([g.involution, h.involution + g.directed_edge_count]),
+    )
+
+
+def two_perm_halves(half, seed):
+    """Disconnected 4-regular graph of two perm-model samples side by side:
+    lambda = 4 has multiplicity 2."""
+    return disjoint_union(sample_permutation_model(half, 4, seed),
+                          sample_permutation_model(half, 4, seed + 1))
+
+
 def dense_hashimoto_eigenvalues(g):
     """Reference Hashimoto spectrum: a dense eigensolve of H itself, so a
     check against it does not compare the package's route with itself."""

@@ -24,7 +24,7 @@ from nbzeta import (
 )
 from nbzeta.graphs import component_counts, degrees, graph_from_pairs, regularity
 
-from conftest import named_corpus, random_regular_corpus
+from conftest import disjoint_union, named_corpus, random_regular_corpus, two_perm_halves
 
 
 def test_build_k4_counts():
@@ -315,16 +315,6 @@ def _random_multigraph(rng):
     return graph_from_pairs(n, ends[0], ends[1], half)
 
 
-def _disjoint_union(g, h):
-    shift = g.directed_edge_count
-    return build_graph(
-        g.vertex_count + h.vertex_count,
-        np.concatenate([np.column_stack([g.tails, g.heads]),
-                        np.column_stack([h.tails, h.heads]) + g.vertex_count]),
-        np.concatenate([g.involution, h.involution + shift]),
-    )
-
-
 def _cycle(k):
     return graph_from_pairs(k, np.arange(k), (np.arange(k) + 1) % k)
 
@@ -334,9 +324,8 @@ def _cycle(k):
     (build_graph(3, [], []), (3, 3)),
     (_cycle(5), (1, 0)),
     (_cycle(6), (1, 1)),
-    (_disjoint_union(_cycle(5), _cycle(6)), (2, 1)),
-    (_disjoint_union(sample_permutation_model(30, 4, 1),
-                     sample_permutation_model(30, 4, 2)), (2, 0)),
+    (disjoint_union(_cycle(5), _cycle(6)), (2, 1)),
+    (two_perm_halves(30, 1), (2, 0)),
     (build_bouquet(2, 0), (1, 0)),
     (build_bouquet(0, 1), (1, 0)),
     (graph_from_pairs(4, [0, 2], [1, 3], [3]), (2, 1)),

@@ -31,6 +31,7 @@ from conftest import (
     dense_hashimoto_eigenvalues,
     k5_minus_edge_ring,
     random_regular_corpus,
+    two_perm_halves,
 )
 
 
@@ -152,19 +153,6 @@ def test_count_geq_sparse_path_one_vertex(g, monkeypatch):
     assert count_adjacency_eigenvalues_geq(g, 3.0, 1e-9) == 1
 
 
-def _two_perm_halves(half, seed):
-    """Disconnected 4-regular graph of two perm-model samples side by side:
-    lambda = 4 has multiplicity 2."""
-    a = sample_permutation_model(half, 4, seed)
-    b = sample_permutation_model(half, 4, seed + 1)
-    edges = np.concatenate([
-        np.column_stack([a.tails, a.heads]),
-        np.column_stack([b.tails, b.heads]) + half,
-    ])
-    inv = np.concatenate([a.involution, b.involution + a.directed_edge_count])
-    return build_graph(2 * half, edges, inv)
-
-
 LANCZOS_CORPUS = {
     **{f"perm-{n}-{seed}": (lambda n=n, seed=seed: sample_permutation_model(n, 4, seed))
        for n in (600, 1000, 2000) for seed in (1, 2)},
@@ -173,7 +161,7 @@ LANCZOS_CORPUS = {
        for name, base, sheets in (("k4", lambda: complete_graph(4), 60),
                                   ("petersen", petersen_graph, 30))
        for seed in (3, 4)},
-    **{f"halves-{seed}": (lambda seed=seed: _two_perm_halves(300, seed)) for seed in range(10)},
+    **{f"halves-{seed}": (lambda seed=seed: two_perm_halves(300, seed)) for seed in range(10)},
     "witness": lambda: parse_graph((DATA_DIR / "nonramanujan_witness.nbg").read_text()),
 }
 
@@ -226,7 +214,7 @@ class _CountingOperator(spla.LinearOperator):
 
 
 @pytest.mark.parametrize("g", [sample_permutation_model(500, 4, 7),
-                               _two_perm_halves(250, 3), build_bouquet(2, 0)],
+                               two_perm_halves(250, 3), build_bouquet(2, 0)],
                          ids=["perm-500", "halves", "bouquet(2,0)"])
 def test_top_eigenvalues_through_a_linear_operator(g, monkeypatch):
     # adjacency_sparse swapped for a one-argument function returning a
