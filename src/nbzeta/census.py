@@ -38,8 +38,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import InvalidParams, ParseError
-from .graphs import adjacency_matrix, parse_graph, regularity
+from .graphs import adjacency_matrix, parse_graph
 from .models import (
+    check_cover_base,
     sample_cover,
     sample_matching_model,
     sample_permutation_model,
@@ -119,15 +120,7 @@ class CensusConfig:
             base = parse_graph(self.base_graph_text)
         except ParseError as exc:
             raise InvalidParams(f"cover base graph: {exc}") from exc
-        if base.directed_edge_count == 0:
-            raise InvalidParams("cover base graph has no edges")
-        degree = regularity(base)
-        if degree is None:
-            raise InvalidParams("cover base graph is not regular")
-        if degree != self.d:
-            raise InvalidParams(
-                f"cover base graph is {degree}-regular but d={self.d}"
-            )
+        check_cover_base(base, self.d)
         return base
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams
-from .graphs import Graph, build_graph, graph_from_pairs
+from .graphs import Graph, build_graph, graph_from_pairs, regularity
 from .rng import SeedStream
 
 
@@ -86,6 +86,18 @@ def build_bouquet(whole_loops, half_loops):
     """One vertex with the stated loops; degree 2*whole + half."""
     loops = np.zeros(whole_loops, dtype=np.int64)
     return graph_from_pairs(1, loops, loops, np.zeros(half_loops, dtype=np.int64))
+
+
+def check_cover_base(base, d):
+    """Raise InvalidParams unless base is d-regular with at least one edge:
+    every cover of it is then d-regular."""
+    if base.directed_edge_count == 0:
+        raise InvalidParams("cover base graph has no edges")
+    degree = regularity(base)
+    if degree is None:
+        raise InvalidParams("cover base graph is not regular")
+    if degree != d:
+        raise InvalidParams(f"cover base graph is {degree}-regular but d={d}")
 
 
 def sample_cover(base, n, seed):

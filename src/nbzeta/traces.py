@@ -8,7 +8,10 @@ tr_hashimoto_power takes one of two exact int64 routes:
 
 - regular graphs: Dickson matrices of the n x n adjacency A (the Ihara
   identity turns Spec H into Spec A), never building the m x m H; dense
-  for n <= 64, CSR above.
+  for n <= 64, CSR above.  The CSR route allocates little beyond its
+  sparse products: D_2 = A^2 - 2q I and D_4 = D_2^2 - 2q^2 I shift the
+  diagonal of a square in place (a square stores every diagonal entry),
+  and an even k ends in one dot of D_{k/2}'s stored values.
   Guards: n (q^a + 1)(q^b + 1) < 2^62 with q = d - 1, a = ceil(k/2),
   b = floor(k/2), and a fill of min(n^2, n |ball of radius a|) within
   the sparse budget;
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import IllConditioned, InvalidParams, TooLarge
 from .graphs import (
@@ -39,6 +41,7 @@ from .graphs import (
     regularity,
 )
 from .models import (
+    check_cover_base,
     sample_cover,
     sample_matching_model,
     sample_permutation_model,
@@ -113,6 +116,8 @@ def _tr_regular(g, d, k):
     their part of the trace is Tr D_k(A).  With a = ceil(k/2) and
     b = floor(k/2), D_k = D_a D_b - q^b D_{a-b}, and D_a(A), D_b(A) are
     symmetric, so Tr D_k(A) = sum(D_a(A) * D_b(A)) - q^b Tr D_{a-b}(A).
+    Dense int64 products serve n <= 64 and _tr_dickson_csr larger n; both
+    stay within the int64 guard below.
     """
     n = g.vertex_count
     q = d - 1
@@ -124,29 +129,78 @@ def _tr_regular(g, d, k):
     ball = 1 + sum(d * q ** j for j in range(a))
     if min(n * n, n * ball) > _SPARSE_NNZ_BUDGET:
         raise TooLarge("Dickson matrix power exceeds the fill budget")
-    if n <= _DENSE_DICKSON_LIMIT:
+    if n > _DENSE_DICKSON_LIMIT:
+        tr_dk = _tr_dickson_csr(adjacency_sparse(g, dtype=np.int64), q, k)
+    else:
         A = adjacency_matrix(g)
-        prev = 2 * np.eye(n, dtype=np.int64)
-    else:
-        A = adjacency_sparse(g, dtype=np.int64)
-        prev = 2 * sp.identity(n, dtype=np.int64, format="csr")
-    cur = A
-    for _ in range(a - 1):
-        prev, cur = cur, A @ cur - q * prev
-    # now cur = D_a(A) and prev = D_{a-1}(A) (D_0 when a = 1)
-    if a == b:
-        Da, Db, tr_rest = cur, cur, 2 * n
-    else:
-        Da, Db, tr_rest = cur, prev, int(A.diagonal().sum())
-    hadamard = Da.multiply(Db) if sp.issparse(Da) else Da * Db
+        prev, cur = 2 * np.eye(n, dtype=np.int64), A
+        for _ in range(a - 1):
+            prev, cur = cur, A @ cur - q * prev
+        # now cur = D_a(A) and prev = D_{a-1}(A) (D_0 when a = 1)
+        if a == b:
+            tr_dk = int((cur * cur).sum()) - q ** b * 2 * n
+        else:
+            tr_dk = int((cur * prev).sum()) - q ** b * int(A.diagonal().sum())
     counts = graph_counts(g)
     sign = -1 if k % 2 else 1
     return (
-        int(hadamard.sum())
-        - q ** b * tr_rest
+        tr_dk
         + counts.half_loops * sign
         + (counts.pairs - counts.vertices) * (1 + sign)
     )
+
+
+def _tr_dickson_csr(A, q, k):
+    """Tr D_k(A) for the CSR int64 adjacency A of a d-regular graph, k >= 1.
+
+    The first steps need no sparse add.  For X = D_j(A) symmetric,
+    (X^2)_ii is the squared norm of row i, which is positive: e_i has a
+    component along the constant vector of its connected component, an
+    eigenvector for d, and D_j(d) = q^j + 1 > 0.  scipy's product stores
+    each nonzero entry once, so D_2 = A^2 - 2q I and D_4 = D_2^2 - 2q^2 I
+    shift the stored diagonal of a square in place, and so does
+    D_3 = A (D_2 - q I) before its product.  Later steps take
+    D_j = A D_{j-1} - q D_{j-2} as a sparse add.  No matrix here holds a
+    duplicate entry, so for even k the symmetric sum(D_a * D_a) is the
+    dot of D_a's stored values with themselves.
+    """
+    n = A.shape[0]
+    a, b = (k + 1) // 2, k // 2
+    if k == 1:
+        return int(A.diagonal().sum())
+    D = {1: A}
+    if a == b:
+        Da = _dickson(D, q, a)
+        return int(np.dot(Da.data, Da.data)) - q ** b * 2 * n
+    hadamard = int(_dickson(D, q, a).multiply(_dickson(D, q, b)).sum())
+    return hadamard - q ** b * int(A.diagonal().sum())
+
+
+def _dickson(D, q, j):
+    """D_j(A) as CSR, with D = {1: A, ...} the D_i(A) computed so far."""
+    if j not in D:
+        A = D[1]
+        # a square of D_1 or D_2 costs about the recurrence steps it skips;
+        # a square of a denser D_j costs more once its ball fills the graph
+        if j in (2, 4):
+            half = _dickson(D, q, j // 2)
+            D[j] = _shift_diagonal(half @ half, -2 * q ** (j // 2))
+        elif j == 3:
+            D[j] = A @ _shift_diagonal(_dickson(D, q, 2).copy(), -q)
+        else:
+            D[j] = A @ _dickson(D, q, j - 1) - q * _dickson(D, q, j - 2)
+    return D[j]
+
+
+def _shift_diagonal(M, c):
+    """M + c I in place, for a CSR M storing each diagonal entry once."""
+    n = M.shape[0]
+    rows = np.repeat(np.arange(n, dtype=M.indices.dtype), np.diff(M.indptr))
+    diagonal = np.flatnonzero(M.indices == rows)
+    if len(diagonal) != n:
+        raise ValueError("the diagonal is not stored entry by entry")
+    M.data[diagonal] += c
+    return M
 
 
 def _tr_irregular(g, k):
@@ -206,24 +260,38 @@ def p0_divisor_sum(k, d):
     return sum((d - 1) ** kp for kp in range(1, k + 1) if k % kp == 0)
 
 
-def _draw_model(model, n, d, seed, base=None):
+def _check_model(model, d, base):
+    """Raise InvalidParams for a model that cannot draw d-regular graphs:
+    an unknown name, a cover without a d-regular base, or a base given to
+    another model."""
+    if model not in ("perm", "cycle", "match", "cover"):
+        raise InvalidParams(f"unknown model {model!r}")
+    if model == "cover":
+        if base is None:
+            raise InvalidParams("cover model needs a base graph")
+        check_cover_base(base, d)
+    elif base is not None:
+        raise InvalidParams(f"{model} model takes no base graph")
+
+
+def _draw_model(model, n, d, seed, base):
     if model == "perm":
         return sample_permutation_model(n, d, seed)
     if model == "cycle":
         return sample_single_cycle_model(n, d, seed)
     if model == "match":
         return sample_matching_model(n, d, seed)
-    if model == "cover":
-        if base is None:
-            raise InvalidParams("cover model needs a base graph")
-        return sample_cover(base, n, seed).total
-    raise InvalidParams(f"unknown model {model!r}")
+    return sample_cover(base, n, seed).total
 
 
 def estimate_expected_trace(model, n, d, k, samples, master_seed, base=None):
-    """Monte Carlo mean/stderr of Tr(H^k) over seeded independent samples."""
+    """Monte Carlo mean/stderr of Tr(H^k) over seeded independent samples.
+
+    The model is checked before any draw; a cover base must be d-regular.
+    """
     if samples < 1:
         raise InvalidParams("need samples >= 1")
+    _check_model(model, d, base)
     values = []
     for i in range(samples):
         g = _draw_model(model, n, d, derive_seed(master_seed, i), base=base)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nbzeta import (
     IllConditioned,
@@ -25,10 +26,10 @@ from nbzeta import (
     tr_hashimoto_power,
 )
 from nbzeta import traces
-from nbzeta.graphs import graph_counts, hashimoto_sparse, regularity
+from nbzeta.graphs import graph_counts, graph_from_pairs, hashimoto_sparse, regularity
 from nbzeta.traces import _permutations_to_graph
 
-from conftest import random_regular_corpus
+from conftest import disjoint_union, random_regular_corpus
 
 
 def _cycle(n):
@@ -139,6 +140,61 @@ def test_route_matches_hashimoto_split():
         assert tr_hashimoto_power(g, k) == _split_reference(g, k), k
 
 
+def _csr_corpus():
+    """Regular graphs just above the dense limit, one per structure the
+    in-place diagonal shift must survive."""
+    ring = np.arange(64)
+    perm = sample_permutation_model(67, 4, seed=2)
+    cover = sample_cover(build_bouquet(1, 1), 69, 1).total
+    assert _whole_loops(perm) > 0
+    assert graph_counts(cover).half_loops == 1
+    return [
+        ("perfect matching, d=1", graph_from_pairs(66, np.arange(0, 66, 2),
+                                                   np.arange(1, 66, 2))),
+        ("cycle C65", _cycle(65)),
+        ("C64 and a double edge, d=2",
+         graph_from_pairs(66, np.r_[ring, 64, 64], np.r_[(ring + 1) % 64, 65, 65])),
+        ("perm d=4 with whole-loops, n=67", perm),
+        ("cover of bouquet(1,1), n=69", cover),
+        ("two perm samples side by side, n=70",
+         disjoint_union(sample_permutation_model(30, 4, seed=3),
+                        sample_permutation_model(40, 4, seed=4))),
+    ]
+
+
+def test_csr_route_matches_split_above_dense_limit():
+    for name, g in _csr_corpus():
+        assert regularity(g) is not None, name
+        assert traces._DENSE_DICKSON_LIMIT < g.vertex_count <= 70, name
+        assert tr_hashimoto_power(g, 0) == g.directed_edge_count, name
+        for k in range(1, 13):
+            assert tr_hashimoto_power(g, k) == _split_reference(g, k), (name, k)
+
+
+def test_csr_route_matches_split_at_workload_size():
+    g = sample_permutation_model(10_000, 4, seed=1)
+    for k in range(1, 7):
+        assert tr_hashimoto_power(g, k) == _split_reference(g, k), k
+
+
+def test_csr_route_int64_guard_edge(monkeypatch):
+    # n (q^17 + 1)^2 < 2^62 admits k = 34; k = 35 crosses the bound
+    g = sample_permutation_model(100, 4, seed=7)
+    csr = tr_hashimoto_power(g, 34)
+    with pytest.raises(TooLarge):
+        tr_hashimoto_power(g, 35)
+    monkeypatch.setattr(traces, "_DENSE_DICKSON_LIMIT", 100)
+    assert csr == tr_hashimoto_power(g, 34) == 16677181852386750
+    with pytest.raises(TooLarge):
+        tr_hashimoto_power(g, 35)
+
+
+def test_shift_diagonal_needs_every_diagonal_entry():
+    M = sp.csr_matrix(np.array([[0, 1], [1, 1]], dtype=np.int64))
+    with pytest.raises(ValueError, match="diagonal"):
+        traces._shift_diagonal(M, 1)
+
+
 def test_cycle_traces():
     # a closed non-backtracking walk on C_n winds around: 2n of length k
     # when n divides k, none otherwise
@@ -208,6 +264,34 @@ def test_estimate_rejects_unknown_model_and_missing_base():
         estimate_expected_trace("torus", 6, 4, 3, samples=2, master_seed=1)
     with pytest.raises(InvalidParams, match="base graph"):
         estimate_expected_trace("cover", 6, 3, 3, samples=2, master_seed=1)
+
+
+def _no_draw(*args):
+    raise AssertionError("a sample was drawn before the model was checked")
+
+
+def test_estimate_rejects_cover_base_of_another_degree(monkeypatch):
+    assert estimate_expected_trace(
+        "cover", 5, 3, 3, 3, 1, base=complete_graph(4)
+    ).d == 3
+    monkeypatch.setattr(traces, "sample_cover", _no_draw)
+    with pytest.raises(InvalidParams, match="3-regular but d=17"):
+        estimate_expected_trace("cover", 5, 17, 3, 3, 1, base=complete_graph(4))
+    with pytest.raises(InvalidParams, match="not regular"):
+        estimate_expected_trace("cover", 5, 3, 3, 3, 1, base=_irregular())
+    with pytest.raises(InvalidParams, match="no edges"):
+        estimate_expected_trace("cover", 5, 0, 3, 3, 1, base=build_bouquet(0, 0))
+
+
+@pytest.mark.parametrize("model, sampler, d", [
+    ("perm", "sample_permutation_model", 4),
+    ("cycle", "sample_single_cycle_model", 4),
+    ("match", "sample_matching_model", 3),
+])
+def test_estimate_rejects_base_for_other_models(monkeypatch, model, sampler, d):
+    monkeypatch.setattr(traces, sampler, _no_draw)
+    with pytest.raises(InvalidParams, match="takes no base graph"):
+        estimate_expected_trace(model, 6, d, 3, 2, 1, base=complete_graph(4))
 
 
 def test_exact_expected_trace_tiny():
