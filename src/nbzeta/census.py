@@ -8,15 +8,15 @@ spectrum, the total spectrum less the base's (a sub-multiset, since
 functions constant on fibres are invariant under A): its count is the
 total graph's count minus the base's.  Every model takes one route: a
 dense eigensolve up to spectra.DENSE_EIG_LIMIT vertices, read when called,
-and seeded Lanczos above it; there a cover's Lanczos runs on the new
-spectrum alone, and the base's values are merged in.  A Lanczos count is
-certified by residual bands (see spectra.top_adjacency_eigenvalues);
-lambda1 and lambda2 are then Ritz values from the rung that certified it:
-the plain Lanczos rung (lambda2 to about 1e-7) or eigsh at the tolerance
-that certified it.  A sample whose count cannot be certified raises
-UncertainCount and is recorded as a failure with its reason, never
-counted.  Reruns with the same config are byte-identical and longer runs
-extend shorter ones record for record.
+and seeded Lanczos above it, which walks a cover's total with its
+(component, fibre) cells deflated and a disconnected graph with its
+components deflated.  A Lanczos count is certified by residual bands (see
+spectra.top_adjacency_eigenvalues); lambda1 and lambda2 are then Ritz
+values of the plain Lanczos rung (lambda2 to about 1e-7) or of eigsh, its
+last resort, or values of the cells' quotient matrix.  A sample whose
+count cannot be certified raises UncertainCount and is recorded as a
+failure with its reason, never counted.  Reruns with the same config are
+byte-identical and longer runs extend shorter ones record for record.
 
 With workers > 1 the samples run on a persistent process pool: forkserver
 workers with one BLAS thread each, built on the first such census and kept
@@ -40,7 +40,7 @@ import numpy as np
 from .errors import InvalidParams, ParseError
 from .graphs import adjacency_matrix, parse_graph
 from .models import (
-    check_cover_base,
+    check_model,
     sample_cover,
     sample_matching_model,
     sample_permutation_model,
@@ -52,7 +52,6 @@ from .spectra import (
     default_tolerances,
     new_spectra,  # noqa: F401  perfbench/tracing.py wraps this name
     top_adjacency_eigenvalues,
-    top_new_adjacency_eigenvalues,
 )
 
 PAPER_SECTION8 = {
@@ -81,46 +80,29 @@ class CensusConfig:
     def validate(self):
         """Raise InvalidParams for a config that cannot run; return the
         parsed cover base (None for the other models)."""
-        if self.model not in ("perm", "cycle", "match", "cover"):
-            raise InvalidParams(f"unknown model {self.model!r}")
+        base = None
+        if self.model == "cover" and self.base_graph_text:
+            try:
+                base = parse_graph(self.base_graph_text)
+            except ParseError as exc:
+                raise InvalidParams(f"cover base graph: {exc}") from exc
+        check_model(self.model, self.n, self.d, base)
         if self.mode not in ("at_least_2sqrt", "strict_nonramanujan"):
             raise InvalidParams(f"unknown mode {self.mode!r}")
         if self.samples < 1:
             raise InvalidParams("samples must be >= 1")
-        if self.n < 1:
-            raise InvalidParams("n must be >= 1")
         if self.threshold_tol is not None and not 0 <= self.threshold_tol < math.inf:
             raise InvalidParams(
                 f"threshold_tol must be finite and >= 0, not {self.threshold_tol!r}"
             )
-        if self.model == "perm" and (self.d % 2 or self.d < 4):
-            raise InvalidParams("perm model needs even d >= 4")
-        if self.model == "cycle" and (self.d % 2 or self.d < 4 or self.n < 2):
-            raise InvalidParams("cycle model needs even d >= 4 and n >= 2")
-        if self.model == "match" and (self.n % 2 or self.d < 3):
-            raise InvalidParams("match model needs even n and d >= 3")
         if self.workers < 1:
             raise InvalidParams("workers must be >= 1")
-        base, vertices = None, self.n
-        if self.model == "cover":
-            base = self._cover_base()
-            vertices *= base.vertex_count
+        vertices = self.n * (1 if base is None else base.vertex_count)
         if self.mode == "strict_nonramanujan" and vertices > spectra.DENSE_EIG_LIMIT:
             raise InvalidParams(
                 f"strict mode needs the dense spectrum: {vertices} vertices "
                 f"exceed {spectra.DENSE_EIG_LIMIT}"
             )
-        return base
-
-    def _cover_base(self):
-        """The parsed base graph; it must be d-regular with at least one edge."""
-        if not self.base_graph_text:
-            raise InvalidParams("cover model needs a base graph file")
-        try:
-            base = parse_graph(self.base_graph_text)
-        except ParseError as exc:
-            raise InvalidParams(f"cover base graph: {exc}") from exc
-        check_cover_base(base, self.d)
         return base
 
 
@@ -145,7 +127,7 @@ class CensusResult:
 
 
 def _one_sample(args):
-    (model, n, d, mode, tol, base, base_top, master_seed, index) = args
+    (model, n, d, mode, tol, base, offset, master_seed, index) = args
     seed = derive_seed(master_seed, index)
     cover = None
     if model == "perm":
@@ -157,9 +139,7 @@ def _one_sample(args):
     else:
         cover = sample_cover(base, n, seed)
         g = cover.total
-    top = _top_eigenvalues(g, d, tol, seed, cover, base_top)
-    # a cover counts its new spectrum: the total's count less the base's
-    offset = 0 if cover is None else _count(base_top, d, mode, tol)
+    top = _top_eigenvalues(g, d, tol, seed, cover)
     return SampleRecord(
         sample=index,
         seed=seed,
@@ -169,18 +149,14 @@ def _one_sample(args):
     )
 
 
-def _top_eigenvalues(g, d, tol, seed, cover=None, base_top=None):
+def _top_eigenvalues(g, d, tol, seed, cover=None):
     """Descending adjacency eigenvalues of g: all of them up to the dense
-    limit, else the top ones down past the threshold by seeded Lanczos.
-    Above the limit, the total graph of a cover takes Lanczos on its new
-    spectrum alone, merged with base_top, the base's own top values."""
+    limit, else the top ones down past the threshold by seeded Lanczos,
+    over the covering map when g is a cover's total."""
     if g.vertex_count <= spectra.DENSE_EIG_LIMIT:
         return np.linalg.eigvalsh(adjacency_matrix(g).astype(float))[::-1]
     threshold = 2 * math.sqrt(d - 1) - tol
-    if cover is None:
-        return top_adjacency_eigenvalues(g, threshold, seed=seed)
-    new = top_new_adjacency_eigenvalues(cover, threshold, seed=seed)
-    return np.sort(np.concatenate([base_top, new]))[::-1]
+    return top_adjacency_eigenvalues(g if cover is None else cover, threshold, seed=seed)
 
 
 def _count(vals, d, mode, tol):
@@ -213,9 +189,11 @@ def run_census(config, out_path=None, progress=None):
     tol = config.threshold_tol
     if tol is None:
         _, _, tol = default_tolerances(d)
-    base_top = None if base is None else _top_eigenvalues(base, d, tol, config.master_seed)
+    # a cover counts its new spectrum: the total's count less the base's
+    offset = 0 if base is None else _count(
+        _top_eigenvalues(base, d, tol, config.master_seed), d, mode, tol)
     tasks = [
-        (config.model, config.n, d, mode, tol, base, base_top, config.master_seed, i)
+        (config.model, config.n, d, mode, tol, base, offset, config.master_seed, i)
         for i in range(config.samples)
     ]
     records, reasons = [], Counter()

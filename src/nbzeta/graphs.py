@@ -160,9 +160,9 @@ def _components(n, tails, heads):
     return connected_components(links, directed=False)
 
 
-def is_connected(g):
-    """True when g has exactly one connected component."""
-    return _components(g.vertex_count, g.tails, g.heads)[0] == 1
+def components(g):
+    """(count, labels) of g's connected components, labels[v] in 0..count-1."""
+    return _components(g.vertex_count, g.tails, g.heads)
 
 
 def component_counts(g):

@@ -43,12 +43,44 @@ def _permutations_to_graph(n, perms):
     return graph_from_pairs(n, np.tile(np.arange(n), len(perms)), heads)
 
 
+# each model's rule on (n, d) past n >= 1, and what it asks for
+_RULES = {
+    "perm": (lambda n, d: d % 2 == 0 and d >= 4, "even d >= 4"),
+    "cycle": (lambda n, d: d % 2 == 0 and d >= 4 and n >= 2, "even d >= 4 and n >= 2"),
+    "match": (lambda n, d: d >= 3 and n % 2 == 0, "d >= 3 and even n"),
+    "cover": (lambda n, d: True, ""),  # the base graph fixes d
+}
+
+
+def check_model(model, n, d, base=None):
+    """Raise InvalidParams unless `model` draws d-regular graphs from n
+    (vertices, or sheets of a cover): a known model, its rule on (n, d),
+    and a base graph for a cover only, d-regular with at least one edge,
+    so that every cover of it is d-regular."""
+    if model not in _RULES:
+        raise InvalidParams(f"unknown model {model!r}")
+    if n < 1:
+        raise InvalidParams("n must be >= 1")
+    rule, needs = _RULES[model]
+    if not rule(n, d):
+        raise InvalidParams(f"{model} model needs {needs}")
+    degree = None if base is None else regularity(base)
+    if model != "cover":
+        if base is not None:
+            raise InvalidParams(f"{model} model takes no base graph")
+    elif base is None:
+        raise InvalidParams("cover model needs a base graph")
+    elif base.directed_edge_count == 0:
+        raise InvalidParams("cover base graph has no edges")
+    elif degree is None:
+        raise InvalidParams("cover base graph is not regular")
+    elif degree != d:
+        raise InvalidParams(f"cover base graph is {degree}-regular but d={d}")
+
+
 def sample_permutation_model(n, d, seed):
     """d-regular graph on n vertices from d/2 uniform permutations."""
-    if d % 2 != 0 or d < 4:
-        raise InvalidParams("perm model needs even d >= 4")
-    if n < 1:
-        raise InvalidParams("perm model needs n >= 1")
+    check_model("perm", n, d)
     stream = SeedStream(seed)
     perms = [stream.permutation(n) for _ in range(d // 2)]
     return _permutations_to_graph(n, perms)
@@ -56,10 +88,7 @@ def sample_permutation_model(n, d, seed):
 
 def sample_single_cycle_model(n, d, seed):
     """Like the permutation model but every permutation is one n-cycle."""
-    if d % 2 != 0 or d < 4:
-        raise InvalidParams("cycle model needs even d >= 4")
-    if n < 2:
-        raise InvalidParams("cycle model needs n >= 2")
+    check_model("cycle", n, d)
     stream = SeedStream(seed)
     perms = [stream.single_cycle(n) for _ in range(d // 2)]
     return _permutations_to_graph(n, perms)
@@ -71,10 +100,7 @@ def sample_matching_model(n, d, seed):
     Odd n has no perfect matching; that case is served by sample_cover
     over a bouquet of d half-loops.
     """
-    if n < 2 or n % 2 != 0:
-        raise InvalidParams("match model needs even n >= 2")
-    if d < 3:
-        raise InvalidParams("match model needs d >= 3")
+    check_model("match", n, d)
     stream = SeedStream(seed)
     mates = np.array([stream.perfect_matching(n) for _ in range(d)], dtype=np.int64)
     i = np.broadcast_to(np.arange(n), mates.shape)
@@ -86,18 +112,6 @@ def build_bouquet(whole_loops, half_loops):
     """One vertex with the stated loops; degree 2*whole + half."""
     loops = np.zeros(whole_loops, dtype=np.int64)
     return graph_from_pairs(1, loops, loops, np.zeros(half_loops, dtype=np.int64))
-
-
-def check_cover_base(base, d):
-    """Raise InvalidParams unless base is d-regular with at least one edge:
-    every cover of it is then d-regular."""
-    if base.directed_edge_count == 0:
-        raise InvalidParams("cover base graph has no edges")
-    degree = regularity(base)
-    if degree is None:
-        raise InvalidParams("cover base graph is not regular")
-    if degree != d:
-        raise InvalidParams(f"cover base graph is {degree}-regular but d={d}")
 
 
 def sample_cover(base, n, seed):

@@ -11,19 +11,19 @@ seeded Lanczos, since symmetric factorization of expander adjacencies
 fills in catastrophically.  A Lanczos count is certified by residuals:
 for symmetric A each Ritz pair (theta, x) has an eigenvalue within
 ||Ax - theta x|| of theta, so the count stands once no such band contains
-the threshold.  A connected graph first takes a plain three-term Lanczos
-rung: no reorthogonalization, ghost copies sorted out by the
-Cullum-Willoughby test, the Lanczos vectors kept in float32, and every
-reduction of length n summed by numpy rather than BLAS, so its values do
-not depend on the BLAS thread count.  What it cannot certify goes to
-ARPACK's eigsh, whose tolerance tightens along a short ladder (1e-4,
-1e-8, 1e-12); a band still holding the threshold at the end raises
-UncertainCount, never a silent count.
+the threshold.  The walk is a plain three-term Lanczos rung: no
+reorthogonalization, ghost copies sorted out by the Cullum-Willoughby
+test, the Lanczos vectors kept in float32, and every reduction of length
+n summed by numpy rather than BLAS, so its values do not depend on the
+BLAS thread count.  The copies of an eigenvalue that structure forces
+(the components of a disconnected regular graph, a cover's (component,
+fibre) cells) are deflated first.  What the rung cannot certify goes to
+ARPACK's eigsh at tolerance 1e-12; a band still holding the threshold
+raises UncertainCount, never a silent count.
 
 The new spectra of a cover (the total's less the base's) come from fibre
 projection onto the invariant subspace of vectors summing to zero on every
-fibre, with no eigenvalue matched against another; above the limit, the
-same subspace carries the Lanczos walk over the new spectrum.
+fibre, with no eigenvalue matched against another.
 """
 
 import math
@@ -37,11 +37,13 @@ from .errors import InvalidParams, TooLarge, UncertainCount
 from .graphs import (
     adjacency_matrix,
     adjacency_sparse,
+    components,
+    degrees,
     graph_counts,
     hashimoto_matrix,
-    is_connected,
     regularity,
 )
+from .models import CoveringMap
 
 DENSE_EIG_LIMIT = 4096
 
@@ -112,9 +114,6 @@ def _count_at_or_above(A, shift):
     return count
 
 
-# eigsh tolerances tried in turn until every Ritz value is certified on
-# its side of the threshold
-_LANCZOS_TOLS = (1e-4, 1e-8, 1e-12)
 # rounding allowance added to each residual, in units of the largest |theta|
 _RESIDUAL_ROUNDING = 64 * np.finfo(float).eps
 # The plain Lanczos rung: it checks T_j every _PLAIN_CHECK_EVERY steps and
@@ -274,10 +273,10 @@ def _converged(theta, bounds, cluster, threshold):
     return bound <= _PLAIN_TOL * abs(value) and bound < abs(value - threshold)
 
 
-def _ritz_pairs(A, k, which, tol, v0):
+def _ritz_pairs(A, k, which, v0):
     """Descending Ritz values theta of A from eigsh and their residual
     norms ||Ax - theta x|| / ||x||."""
-    w, X = spla.eigsh(A, k=k, which=which, tol=tol, v0=v0)
+    w, X = spla.eigsh(A, k=k, which=which, tol=1e-12, v0=v0)
     res = np.linalg.norm(A @ X - X * w, axis=0) / np.linalg.norm(X, axis=0)
     order = np.argsort(w)[::-1]
     return w[order], res[order]
@@ -287,80 +286,100 @@ def top_adjacency_eigenvalues(g, threshold, seed=12345):
     """Descending top adjacency eigenvalues down past `threshold`, by
     seeded Lanczos, with the count of those >= threshold certified.
 
-    A is symmetric, so each Ritz pair (theta, x) has an eigenvalue within
-    ||Ax - theta x|| of theta (Parlett), and the values are returned once
-    no such band contains the threshold.  A connected graph first takes
-    the plain Lanczos rung (_plain_lanczos), which returns the top c + 1
-    values when c <= _PLAIN_MAX_ABOVE of them sit at or above the
-    threshold.  It hands over to the eigsh ladder at a step cap, an
-    invariant subspace or a band holding the threshold; a disconnected
-    graph goes straight to eigsh, since its top eigenvalue is multiple and
-    one start vector resolves one copy.  At each eigsh tolerance in
-    _LANCZOS_TOLS, k doubles from 4 until the smallest Ritz value drops
-    below the threshold (past n - 1 the bottom value is fetched as well);
-    a band still containing the threshold at the last tolerance raises
-    UncertainCount rather than returning a count.  Residuals cannot reveal
-    an eigenvalue Lanczos missed entirely, such as an unresolved copy of a
-    multiple one.  The start vector is seeded, so results are reproducible
-    run to run, and the rung's are also independent of the BLAS thread
-    count.
+    g is a graph, or a covering map whose total graph is walked.  A is
+    symmetric, so each Ritz pair (theta, x) has an eigenvalue within
+    ||Ax - theta x|| of theta (Parlett); the values are returned once no
+    such band holds the threshold.  No residual shows a copy of a
+    multiple eigenvalue that one start vector misses, so the copies that
+    structure forces are deflated first (_top_eigenvalues): lambda = d
+    once per component of a disconnected regular graph, each base
+    eigenvalue once per component of a cover's total.  The plain Lanczos
+    rung (_plain_lanczos) walks the rest.  More than _PLAIN_MAX_ABOVE
+    values at or above the threshold, the step cap, an invariant
+    subspace, a band on the threshold or a disconnected irregular graph
+    leave the count to eigsh at tolerance 1e-12, k doubling from 4 until
+    the smallest Ritz value drops below the threshold (past n - 1 the
+    bottom value is fetched too); a band still holding the threshold
+    raises UncertainCount.  The start vector is seeded, so results are
+    reproducible, and the rung's do not depend on the BLAS thread count.
     """
-    if g.vertex_count == 1:
-        # ARPACK needs 0 < k < n; the sole eigenvalue counts the loop edges
-        return np.array([float(g.directed_edge_count)])
-    return _top_eigenvalues(g, adjacency_sparse(g), threshold, seed)
+    if isinstance(g, CoveringMap):
+        # cells (component, fibre), numbered from 0
+        labels = components(g.total)[1] * g.base.vertex_count + g.vertex_map
+        g, cells = g.total, np.unique(labels, return_inverse=True)[1]
+    else:
+        count, labels = components(g)
+        if 1 < count < g.vertex_count and regularity(g) is None:
+            # an irregular graph's components need not be equitable cells;
+            # eigsh, which restarts, resolves the copies they share
+            v0 = np.random.default_rng(seed).standard_normal(g.vertex_count)
+            return _eigsh_values(adjacency_sparse(g), v0, threshold)
+        # cells: the components of a regular graph, or lone vertices
+        cells = labels if count > 1 or count == g.vertex_count else None
+    return _top_eigenvalues(g, adjacency_sparse(g), threshold, seed, cells)
 
 
-def top_new_adjacency_eigenvalues(c, threshold, seed=12345):
-    """top_adjacency_eigenvalues over the new spectrum of a covering map c:
-    Lanczos runs on the vectors summing to zero on every vertex fibre (see
-    new_spectra), so an eigenvalue of the base, which the total graph
-    carries with multiplicity, cannot hide a new one."""
-    if c.degree == 1:
-        return np.array([])
-    fibre_of = c.vertex_map
-    sizes = np.bincount(fibre_of)
-
-    def centred(x):
-        return x - (np.bincount(fibre_of, x, minlength=len(sizes)) / sizes)[fibre_of]
-
-    A = adjacency_sparse(c.total)
-    op = spla.LinearOperator(A.shape, matvec=lambda x: centred(A @ x.ravel()), dtype=float)
-    return _top_eigenvalues(c.total, op, threshold, seed, centred)
-
-
-def _top_eigenvalues(g, A, threshold, seed, centred=None):
-    """The walk of top_adjacency_eigenvalues over operator A on g's
-    vertices, from a start vector passed through centred when given."""
+def _top_eigenvalues(g, A, threshold, seed, cells=None):
+    """The walk of top_adjacency_eigenvalues over A on g's vertices.  The
+    cells of an equitable partition leave invariant the vectors constant
+    on every cell, with the values of the quotient matrix, and those
+    summing to zero on every cell, where the walk runs, centring each
+    product once.  eigsh sees the former at a floor below the threshold
+    and the spectrum, and its values past the walk's dimension drop."""
     n = g.vertex_count
     v0 = np.random.default_rng(seed).standard_normal(n)
-    if centred is not None:
-        v0 = centred(v0)
-    if is_connected(g):
+    walk = last_resort = A
+    rest, vals = n, np.array([])
+    if cells is not None:
+        sizes = np.bincount(cells)
+        k = len(sizes)
+
+        def means(x):
+            return (np.bincount(cells, x, minlength=k) / sizes)[cells]
+
+        floor = min(threshold, -float(np.max(degrees(g)))) - 1
+        walk = spla.LinearOperator(
+            A.shape, matvec=lambda x: (y := A @ x.ravel()) - means(y), dtype=float)
+        last_resort = spla.LinearOperator(
+            A.shape, dtype=float,
+            matvec=lambda x: (y := A @ x.ravel()) - means(y) + floor * means(x.ravel()))
+        v0 = v0 - means(v0)
+        rest -= k
+        # a vertex of cell i has E[i, j] / sizes[i] neighbours in cell j, so
+        # the cell-constant vectors carry the values of D^-1/2 E D^-1/2
+        E = np.bincount(cells[g.tails] * k + cells[g.heads], minlength=k * k).reshape(k, k)
+        vals = np.linalg.eigvalsh(E / np.sqrt(np.outer(sizes, sizes)))
+    if rest:
         try:
-            return _plain_lanczos(A, v0, threshold)
+            walked = _plain_lanczos(walk, v0, threshold)
         except _HandOver:
-            pass
+            walked = _eigsh_values(last_resort, v0, threshold)[:rest]
+        vals = np.concatenate([walked, vals])
+    vals = np.sort(vals)[::-1]
+    return vals[: np.count_nonzero(vals >= threshold) + 1]
+
+
+def _eigsh_values(A, v0, threshold):
+    """Descending Ritz values of A down past the threshold from eigsh; past
+    n - 1 the bottom value is fetched too, so all n can count, not n - 1."""
+    n = len(v0)
     k = 4
-    for tol in _LANCZOS_TOLS:
-        while True:
-            k = min(k, n - 1)
-            vals, res = _ritz_pairs(A, k, "LA", tol, v0)
-            if vals[-1] < threshold:
-                break
-            if k >= n - 1:
-                # ARPACK cannot ask for all n; fetch the bottom value so a
-                # threshold below the whole spectrum still counts n, not n-1
-                low, low_res = _ritz_pairs(A, 1, "SA", tol, v0)
-                vals = np.concatenate([vals, low])
-                res = np.concatenate([res, low_res])
-                break
-            k *= 2
-        band, straddling = _residual_bands(vals, res, threshold)
-        if not straddling.any():
-            return vals
-    i = int(np.argmax(straddling))
-    raise UncertainCount(float(vals[i]), float(band[i]), float(threshold))
+    while True:
+        k = min(k, n - 1)
+        vals, res = _ritz_pairs(A, k, "LA", v0)
+        if vals[-1] < threshold:
+            break
+        if k >= n - 1:
+            low, low_res = _ritz_pairs(A, 1, "SA", v0)
+            vals = np.concatenate([vals, low])
+            res = np.concatenate([res, low_res])
+            break
+        k *= 2
+    band, straddling = _residual_bands(vals, res, threshold)
+    if straddling.any():
+        i = int(np.argmax(straddling))
+        raise UncertainCount(float(vals[i]), float(band[i]), float(threshold))
+    return vals
 
 
 def count_adjacency_eigenvalues_geq(g, t, tol):

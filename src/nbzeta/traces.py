@@ -41,7 +41,7 @@ from .graphs import (
     regularity,
 )
 from .models import (
-    check_cover_base,
+    check_model,
     sample_cover,
     sample_matching_model,
     sample_permutation_model,
@@ -260,20 +260,6 @@ def p0_divisor_sum(k, d):
     return sum((d - 1) ** kp for kp in range(1, k + 1) if k % kp == 0)
 
 
-def _check_model(model, d, base):
-    """Raise InvalidParams for a model that cannot draw d-regular graphs:
-    an unknown name, a cover without a d-regular base, or a base given to
-    another model."""
-    if model not in ("perm", "cycle", "match", "cover"):
-        raise InvalidParams(f"unknown model {model!r}")
-    if model == "cover":
-        if base is None:
-            raise InvalidParams("cover model needs a base graph")
-        check_cover_base(base, d)
-    elif base is not None:
-        raise InvalidParams(f"{model} model takes no base graph")
-
-
 def _draw_model(model, n, d, seed, base):
     if model == "perm":
         return sample_permutation_model(n, d, seed)
@@ -291,7 +277,7 @@ def estimate_expected_trace(model, n, d, k, samples, master_seed, base=None):
     """
     if samples < 1:
         raise InvalidParams("need samples >= 1")
-    _check_model(model, d, base)
+    check_model(model, n, d, base)
     values = []
     for i in range(samples):
         g = _draw_model(model, n, d, derive_seed(master_seed, i), base=base)
@@ -310,8 +296,7 @@ def exact_expected_trace_small(n, d, k):
     """Exact E[Tr(H^k)] for the permutation model by enumerating all
     (n!)**(d/2) permutation tuples with equal weight; more than
     EXACT_ENUMERATION_LIMIT tuples raise TooLarge."""
-    if d % 2 != 0 or d < 4:
-        raise InvalidParams("exact enumeration covers the perm model (even d >= 4)")
+    check_model("perm", n, d)
     perms = list(itertools.permutations(range(n)))
     count = len(perms) ** (d // 2)
     if count > EXACT_ENUMERATION_LIMIT:

@@ -484,17 +484,17 @@ def _prism(k):
 
 def _cover_lanczos_against_dense(cfg, monkeypatch, dense_workers=1):
     """(Lanczos, dense) censuses of a workers=1 cover config: Lanczos
-    forced by a dense limit of 64 vertices, and each total must reach the
-    new-spectrum walk once per sample."""
+    forced by a dense limit of 64 vertices, and each covering map must
+    reach the walk once per sample."""
     dense = run_census(dataclasses.replace(cfg, workers=dense_workers))
     calls = []
-    real = census_module.top_new_adjacency_eigenvalues
+    real = census_module.top_adjacency_eigenvalues
 
     def counting(c, *args, **kw):
         calls.append(c.total.vertex_count)
         return real(c, *args, **kw)
 
-    monkeypatch.setattr(census_module, "top_new_adjacency_eigenvalues", counting)
+    monkeypatch.setattr(census_module, "top_adjacency_eigenvalues", counting)
     monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 64)
     sparse = run_census(cfg)
     base = parse_graph(cfg.base_graph_text)
@@ -573,6 +573,26 @@ def test_disconnection_visible_in_records_at_order_1_over_n():
     for r in res.records:
         if r.lambda2 > 4 - 1e-8:
             assert r.count >= 2
+
+
+def test_census_lanczos_counts_disconnected_samples(monkeypatch):
+    # samples 51 and 288 are disconnected; above the dense limit their
+    # components are deflated, and every count equals the dense census's
+    # with no sample reaching eigsh (a refused call is a recorded failure)
+    cfg = _cfg(n=100, samples=300, master_seed=31)
+    dense = run_census(cfg)
+    assert sum(r.lambda2 > 4 - 1e-8 for r in dense.records) == 2
+
+    def refuse(*args, **kw):
+        raise AssertionError("eigsh called")
+
+    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 64)
+    monkeypatch.setattr(spectra.spla, "eigsh", refuse)
+    sparse = run_census(cfg)
+    assert sparse.failures == 0
+    assert [r.count for r in sparse.records] == [r.count for r in dense.records]
+    for s, d in zip(sparse.records, dense.records):
+        assert abs(s.lambda1 - d.lambda1) <= 1e-8 and abs(s.lambda2 - d.lambda2) <= 1e-6
 
 
 def test_census_failures_are_counted_not_silent(monkeypatch):

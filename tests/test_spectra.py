@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -24,11 +29,13 @@ from nbzeta import (
     tr_hashimoto_power,
 )
 from nbzeta import spectra
-from nbzeta.graphs import is_connected, regularity
+from nbzeta.graphs import components, graph_from_pairs, regularity
+from nbzeta.rng import derive_seed
 
 from conftest import (
     DATA_DIR,
     dense_hashimoto_eigenvalues,
+    disjoint_union,
     k5_minus_edge_ring,
     random_regular_corpus,
     two_perm_halves,
@@ -245,7 +252,7 @@ def test_plain_lanczos_rung_is_taken(seed, monkeypatch):
     # a connected perm sample is counted by the plain rung, never eigsh
     g = sample_permutation_model(1500, 4, seed)
     t = 2 * np.sqrt(3) - 4e-9
-    assert is_connected(g)
+    assert components(g)[0] == 1
     dense = count_adjacency_eigenvalues_geq(g, t, 0.0)
     monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", g.vertex_count - 1)
     monkeypatch.setattr(spectra.spla, "eigsh", _refuse_eigsh)
@@ -277,12 +284,159 @@ def test_plain_lanczos_accuracy(name, monkeypatch):
     d = regularity(g)
     t = 2 * np.sqrt(d - 1) - 1e-9 * d
     dense = adjacency_spectrum(g)
-    assert is_connected(g)
+    assert components(g)[0] == 1
     monkeypatch.setattr(spectra.spla, "eigsh", _refuse_eigsh)
     vals = spectra.top_adjacency_eigenvalues(g, t)
     assert np.sum(vals >= t) == np.sum(dense >= t)
     assert abs(vals[0] - d) <= 1e-8
     assert abs(vals[1] - dense[1]) <= 1e-6
+
+
+DISCONNECTED = {
+    # a 49-vertex component and a vertex with two loops: eigsh found one
+    # copy of lambda = 4 for every seed and counted 2 against a dense 3
+    "isolated-vertex": lambda: sample_permutation_model(50, 4, derive_seed(3, 23)),
+    **{f"halves-300-{seed}": (lambda seed=seed: two_perm_halves(300, seed))
+       for seed in range(10)},
+    **{f"perm-300-{i}": (lambda i=i: sample_permutation_model(300, 4, derive_seed(77, i)))
+       for i in (64, 551, 1540)},
+}
+
+
+def _dense_count(g, t, tol):
+    """count_adjacency_eigenvalues_geq on the dense route."""
+    assert g.vertex_count <= spectra.DENSE_EIG_LIMIT
+    return count_adjacency_eigenvalues_geq(g, t, tol)
+
+
+@pytest.mark.parametrize("name", sorted(DISCONNECTED))
+def test_disconnected_graph_counted_by_the_plain_rung(name, monkeypatch):
+    # lambda = d once per component: the components are deflated, their
+    # copies of d come from the quotient, and the plain rung counts the rest
+    g = DISCONNECTED[name]()
+    assert components(g)[0] > 1
+    t = 2 * np.sqrt(3) - 4e-9
+    dense = _dense_count(g, t, 0.0)
+    if name == "isolated-vertex":
+        assert dense == 3
+    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 10)
+    monkeypatch.setattr(spectra.spla, "eigsh", _refuse_eigsh)
+    assert count_adjacency_eigenvalues_geq(g, t, 0.0) == dense
+
+
+def test_two_large_halves_counted_by_the_plain_rung(monkeypatch):
+    # 6000 vertices: the exact count is that of the halves, each dense
+    g = two_perm_halves(3000, 1)
+    t = 2 * np.sqrt(3) - 4e-9
+    dense = sum(_dense_count(sample_permutation_model(3000, 4, seed), t, 0.0)
+                for seed in (1, 2))
+    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 10)
+    monkeypatch.setattr(spectra.spla, "eigsh", _refuse_eigsh)
+    vals = spectra.top_adjacency_eigenvalues(g, t)
+    assert np.sum(vals >= t) == dense >= 2
+    assert vals[0] == vals[1] == 4.0
+
+
+@pytest.mark.parametrize("name", ["isolated-vertex", "halves-300-7", "perm-300-1540"])
+def test_disconnected_graph_deep_thresholds(name, monkeypatch):
+    # thresholds at and below 0: eigsh takes the count, and must not count
+    # the deflated cell-constant vectors, which it sees below the spectrum
+    g = DISCONNECTED[name]()
+    for t in (0.0, -2.0, -10.0):
+        dense = _dense_count(g, t, 4e-9)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectra, "DENSE_EIG_LIMIT", 10)
+            assert count_adjacency_eigenvalues_geq(g, t, 4e-9) == dense
+    assert dense == g.vertex_count
+
+
+def test_disconnected_irregular_graph_counts_shared_copies(monkeypatch):
+    # two copies of an irregular graph (a perm sample with a pendant path):
+    # its components are no equitable cells and every eigenvalue is double,
+    # so eigsh, not the one-start rung, takes the count
+    g = sample_permutation_model(300, 4, 5)
+    h = graph_from_pairs(303, np.append(g.tails[::2], [0, 300, 301]),
+                         np.append(g.heads[::2], [300, 301, 302]))
+    g = disjoint_union(h, h)
+    t = adjacency_spectrum(g)[0] - 1e-3
+    dense = _dense_count(g, t, 0.0)
+    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 10)
+    assert count_adjacency_eigenvalues_geq(g, t, 0.0) == dense == 2
+
+
+def _theta():
+    """Two vertices joined by three edges: 3-regular, cycle rank 2."""
+    return graph_from_pairs(2, [0, 0, 0], [1, 1, 1])
+
+
+DISCONNECTED_COVERS = {
+    # (base, sheets, seed, values at or above 2 sqrt 2, eigsh refused)
+    "k4-2-0": (complete_graph(4), 2, 0, 2, True),
+    "petersen-2-61": (petersen_graph(), 2, 61, 2, True),
+    # a walk space with a multiple eigenvalue: here the 3-sheet component
+    # has 1 four times and -2 twice on the vectors summing to zero on
+    # every cell, so the Krylov space closes before it fills them, and
+    # eigsh takes the count; the small totals below all do
+    "petersen-4-138": (petersen_graph(), 4, 138, 3, False),
+    "petersen-3-44": (petersen_graph(), 3, 44, 2, False),
+    "k4-3-1": (complete_graph(4), 3, 1, 2, False),
+    "k4-4-19": (complete_graph(4), 4, 19, 2, False),
+    # 2 and 2998 vertices
+    "theta-1500-377": (_theta(), 1500, 377, 2, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISCONNECTED_COVERS))
+def test_disconnected_cover_total(name, monkeypatch):
+    # the total carries each base eigenvalue once per component: its
+    # (component, fibre) cells are deflated and their values come from the
+    # quotient; the count at 2 sqrt 2 and at deep thresholds is dense's
+    base, sheets, seed, above, refuse = DISCONNECTED_COVERS[name]
+    c = sample_cover(base, sheets, seed)
+    assert components(c.total)[0] > 1
+    t = 2 * np.sqrt(2) - 3e-9
+    assert _dense_count(c.total, t, 0.0) == above
+    with monkeypatch.context() as patch:
+        if refuse:
+            patch.setattr(spectra.spla, "eigsh", _refuse_eigsh)
+        vals = spectra.top_adjacency_eigenvalues(c, t)
+    assert np.sum(vals >= t) == above
+    assert abs(vals[0] - 3.0) < 1e-12 and abs(vals[1] - 3.0) < 1e-12
+    if c.total.vertex_count > 40:
+        return
+    dense = adjacency_spectrum(c.total)
+    assert np.allclose(vals, dense[:len(vals)], atol=1e-8)
+    for t in (0.0, -2.0, -10.0):
+        vals = spectra.top_adjacency_eigenvalues(c, t - 3e-9)
+        assert np.sum(vals >= t - 3e-9) == np.sum(dense >= t - 3e-9)
+
+
+_BLAS_PROBE = """
+import numpy as np
+from conftest import two_perm_halves
+from nbzeta import sample_cover, spectra
+from nbzeta.graphs import graph_from_pairs
+theta = graph_from_pairs(2, [0, 0, 0], [1, 1, 1])
+for g, t in ((two_perm_halves(3000, 1), 2 * np.sqrt(3)),
+             (sample_cover(theta, 1500, 377), 2 * np.sqrt(2))):
+    print(repr(spectra.top_adjacency_eigenvalues(g, t - 4e-9).tolist()))
+"""
+
+
+def test_disconnected_top_values_do_not_depend_on_blas_threads():
+    # a census on the pool runs one BLAS thread per worker, and workers=1
+    # the caller's; a disconnected graph and a disconnected cover total
+    # give the same bits either way.  OpenBLAS reads its thread count when
+    # it loads, so each count gets a fresh interpreter
+    tests = Path(__file__).parent
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+        outputs.append(subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                                      capture_output=True, text=True, check=True).stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 2
 
 
 def test_hashimoto_spectrum_k4():
