@@ -94,14 +94,16 @@ def graph_from_pairs(vertex_count, a, b, half_loops=()):
     Directed edge 2k is a[k] -> b[k] and 2k+1 the way back; the half-loops
     follow the pairs, each its own opposite.
     """
-    pairs = np.stack([a, b], axis=-1).astype(np.int64)
     half = np.asarray(half_loops, dtype=np.int64)
-    edges = np.concatenate([
-        np.stack([pairs, pairs[:, ::-1]], axis=1).reshape(-1, 2),
-        np.stack([half, half], axis=-1),
-    ])
+    p = len(a)
+    if len(b) != p:
+        raise ValueError("a and b must have the same length")
+    edges = np.empty((2 * p + len(half), 2), dtype=np.int64)
+    edges[0:2 * p:2, 0] = edges[1:2 * p:2, 1] = a
+    edges[0:2 * p:2, 1] = edges[1:2 * p:2, 0] = b
+    edges[2 * p:] = half[:, None]
     inv = np.arange(len(edges), dtype=np.int64)
-    inv[: 2 * len(pairs)] ^= 1
+    inv[: 2 * p] ^= 1
     return build_graph(vertex_count, edges, inv)
 
 

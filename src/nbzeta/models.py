@@ -39,8 +39,7 @@ def _permutations_to_graph(n, perms):
     2*(j*n+i) (i -> pi(i)) and 2*(j*n+i)+1 (back).  A fixed point becomes a
     whole-loop: its two orientations stay distinct.
     """
-    heads = np.asarray(perms, dtype=np.int64).reshape(-1)
-    return graph_from_pairs(n, np.tile(np.arange(n), len(perms)), heads)
+    return graph_from_pairs(n, np.tile(np.arange(n), len(perms)), np.concatenate(perms))
 
 
 # each model's rule on (n, d) past n >= 1, and what it asks for
@@ -102,7 +101,7 @@ def sample_matching_model(n, d, seed):
     """
     check_model("match", n, d)
     stream = SeedStream(seed)
-    mates = np.array([stream.perfect_matching(n) for _ in range(d)], dtype=np.int64)
+    mates = np.stack([stream.perfect_matching(n) for _ in range(d)])
     i = np.broadcast_to(np.arange(n), mates.shape)
     keep = i < mates
     return graph_from_pairs(n, i[keep], mates[keep])

@@ -15,6 +15,7 @@ from nbzeta import (
     serialize_graph,
 )
 from nbzeta.graphs import degrees, regularity
+from nbzeta import rng
 from nbzeta.models import validate_cover
 from nbzeta.rng import SeedStream, _words, derive_seed, splitmix64
 
@@ -81,19 +82,45 @@ def _ref_near_perfect_matching(stream, n):
     return pi
 
 
+def _at_crossover(parity=None):
+    """The sizes on either side of the loop/resolution crossover, of the
+    given parity when one is given."""
+    c = rng._RESOLVE_MIN_N
+    return tuple(n for n in (c - 1, c, c + 1) if parity is None or n % 2 == parity)
+
+
+# each list ends with one n above 2**16, which sorts in two radix passes
 @pytest.mark.parametrize("method, reference, sizes", [
-    ("permutation", _ref_permutation, (0, 1, 2, 3, 7, 100, 10_000)),
-    ("single_cycle", _ref_single_cycle, (0, 1, 2, 3, 7, 100, 10_000)),
-    ("perfect_matching", _ref_perfect_matching, (0, 2, 100, 10_000)),
-    ("near_perfect_matching", _ref_near_perfect_matching, (1, 3, 7, 101, 10_001)),
+    ("permutation", _ref_permutation, (0, 1, 2, 3, 7, 100, *_at_crossover(), 10_000, 70_000)),
+    ("single_cycle", _ref_single_cycle, (0, 1, 2, 3, 7, 100, *_at_crossover(), 10_000, 70_000)),
+    ("perfect_matching", _ref_perfect_matching, (0, 2, 100, *_at_crossover(0), 10_000, 70_000)),
+    ("near_perfect_matching", _ref_near_perfect_matching,
+     (1, 3, 7, 101, *_at_crossover(1), 10_001, 70_001)),
 ])
 def test_stream_draws_match_scalar_reference(method, reference, sizes):
     for n in sizes:
-        for i in range(20):
+        for i in range(20 if n < 1 << 16 else 3):
             seed = derive_seed(2024, i)
             fast, slow = SeedStream(seed), SeedStream(seed)
-            assert getattr(fast, method)(n) == reference(slow, n)
+            assert getattr(fast, method)(n).tolist() == reference(slow, n)
             assert fast.next64() == slow.next64()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 1000, *_at_crossover(), 65_537, 70_000])
+def test_swap_resolution_matches_loop_on_adversarial_targets(n):
+    steps = np.arange(n - 1, 0, -1, dtype=np.int64)  # the loop's i, in order
+    for targets in (0 * steps, steps, steps - 1, steps // 2):
+        assert np.array_equal(rng._resolve_swaps(n, targets), rng._swap_loop(n, targets))
+
+
+def test_permutation_is_the_same_on_both_paths(monkeypatch):
+    n = 1000
+    draws = []
+    for crossover in (n + 1, n):  # the loop, then the resolution
+        monkeypatch.setattr(rng, "_RESOLVE_MIN_N", crossover)
+        stream = SeedStream(derive_seed(23, 0))
+        draws.append((stream.permutation(n).tolist(), stream.next64()))
+    assert draws[0] == draws[1]
 
 
 def test_bulk_randbelow_matches_scalar_under_rejection():
