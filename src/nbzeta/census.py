@@ -1,22 +1,26 @@
 """Seeded Monte Carlo censuses of threshold eigenvalue counts.
 
 Each sample draws a graph from the configured model with a seed derived
-from (master_seed, sample_index), counts eigenvalues at or above the
-Ramanujan threshold 2*sqrt(d-1) (or strict non-Ramanujan counts), and
-records (index, seed, count, lambda1, lambda2).  A cover counts its new
-spectrum, the total spectrum less the base's (a sub-multiset, since
-functions constant on fibres are invariant under A): its count is the
-total graph's count minus the base's.  Every model takes one route: a
-dense eigensolve up to spectra.DENSE_EIG_LIMIT vertices, read when called,
-and seeded Lanczos above it, which walks a cover's total with its
+from (master_seed, sample_index), counts its adjacency eigenvalues in the
+mode's half-open window [lo, hi), and records (index, seed, count,
+lambda1, lambda2).  The window is fixed once per census (_window): at or
+above the Ramanujan threshold 2*sqrt(d-1), or, in strict mode, from the
+threshold up to d, both edges moved down by a tolerance of
+default_tolerances(d).  A cover counts its new spectrum, the total
+spectrum less the base's (a sub-multiset, since functions constant on
+fibres are invariant under A): its count is the total graph's count minus
+the base's.  Every model and mode takes one route: a dense eigensolve up
+to spectra.DENSE_EIG_LIMIT vertices, read when called, and above it
+seeded Lanczos down past lo, which walks a cover's total with its
 (component, fibre) cells deflated and a disconnected graph with its
-components deflated.  A Lanczos count is certified by residual bands (see
-spectra.top_adjacency_eigenvalues); lambda1 and lambda2 are then Ritz
-values of the plain Lanczos rung (lambda2 to about 1e-7) or of eigsh, its
-last resort, or values of the cells' quotient matrix.  A sample whose
-count cannot be certified raises UncertainCount and is recorded as a
-failure with its reason, never counted.  Reruns with the same config are
-byte-identical and longer runs extend shorter ones record for record.
+components deflated.  A Lanczos count is certified at lo by residual
+bands (see spectra.top_adjacency_eigenvalues); lambda1 and lambda2 are
+then Ritz values of the plain Lanczos rung (lambda2 to about 1e-7) or of
+eigsh, its last resort, or values of the cells' quotient matrix.  A
+sample whose count cannot be certified raises UncertainCount and is
+recorded as a failure with its reason, never counted.  Reruns with the
+same config are byte-identical and longer runs extend shorter ones
+record for record.
 
 With workers > 1 the samples run on a persistent process pool: forkserver
 workers with one BLAS thread each, built on the first such census and kept
@@ -74,7 +78,6 @@ class CensusConfig:
     master_seed: int
     mode: str = "at_least_2sqrt"    # or "strict_nonramanujan"
     base_graph_text: str = None     # required for cover
-    threshold_tol: float = None     # default: default_tolerances(d)
     workers: int = 1
 
     def validate(self):
@@ -91,18 +94,8 @@ class CensusConfig:
             raise InvalidParams(f"unknown mode {self.mode!r}")
         if self.samples < 1:
             raise InvalidParams("samples must be >= 1")
-        if self.threshold_tol is not None and not 0 <= self.threshold_tol < math.inf:
-            raise InvalidParams(
-                f"threshold_tol must be finite and >= 0, not {self.threshold_tol!r}"
-            )
         if self.workers < 1:
             raise InvalidParams("workers must be >= 1")
-        vertices = self.n * (1 if base is None else base.vertex_count)
-        if self.mode == "strict_nonramanujan" and vertices > spectra.DENSE_EIG_LIMIT:
-            raise InvalidParams(
-                f"strict mode needs the dense spectrum: {vertices} vertices "
-                f"exceed {spectra.DENSE_EIG_LIMIT}"
-            )
         return base
 
 
@@ -127,7 +120,7 @@ class CensusResult:
 
 
 def _one_sample(args):
-    (model, n, d, mode, tol, base, offset, master_seed, index) = args
+    (model, n, d, lo, hi, base, offset, master_seed, index) = args
     seed = derive_seed(master_seed, index)
     cover = None
     if model == "perm":
@@ -139,37 +132,40 @@ def _one_sample(args):
     else:
         cover = sample_cover(base, n, seed)
         g = cover.total
-    top = _top_eigenvalues(g, d, tol, seed, cover)
+    top = _top_eigenvalues(g, lo, seed, cover)
     return SampleRecord(
         sample=index,
         seed=seed,
-        count=_count(top, d, mode, tol) - offset,
+        count=_count(top, lo, hi) - offset,
         lambda1=float(top[0]),
         lambda2=float(top[1]) if len(top) > 1 else float("nan"),
     )
 
 
-def _top_eigenvalues(g, d, tol, seed, cover=None):
+def _top_eigenvalues(g, lo, seed, cover=None):
     """Descending adjacency eigenvalues of g: all of them up to the dense
-    limit, else the top ones down past the threshold by seeded Lanczos,
-    over the covering map when g is a cover's total."""
+    limit, else the top ones down past lo by seeded Lanczos, over the
+    covering map when g is a cover's total."""
     if g.vertex_count <= spectra.DENSE_EIG_LIMIT:
         return np.linalg.eigvalsh(adjacency_matrix(g).astype(float))[::-1]
-    threshold = 2 * math.sqrt(d - 1) - tol
-    return top_adjacency_eigenvalues(g if cover is None else cover, threshold, seed=seed)
+    return top_adjacency_eigenvalues(g if cover is None else cover, lo, seed=seed)
 
 
-def _count(vals, d, mode, tol):
-    """The census count over eigenvalues vals: those at or above
-    2*sqrt(d-1) - tol, or in strict mode those strictly between the
-    threshold and d or at the threshold, both up to special_tol."""
+def _window(d, mode):
+    """The half-open window [lo, hi) whose eigenvalues a census counts,
+    with the tolerances of default_tolerances(d): at or above the
+    threshold 2*sqrt(d-1) less threshold_tol, or, in strict mode, from
+    the threshold less special_tol up to d less special_tol."""
     threshold = 2 * math.sqrt(d - 1)
+    _, special_tol, threshold_tol = default_tolerances(d)
     if mode == "at_least_2sqrt":
-        return int(np.sum(vals >= threshold - tol))
-    _, special_tol, _ = default_tolerances(d)
-    in_window = np.sum((vals > threshold + special_tol) & (vals < d - special_tol))
-    at_threshold = np.sum(np.abs(vals - threshold) <= special_tol)
-    return int(in_window + at_threshold)
+        return threshold - threshold_tol, math.inf
+    return threshold - special_tol, d - special_tol
+
+
+def _count(vals, lo, hi):
+    """Number of eigenvalues vals in [lo, hi)."""
+    return int(np.sum(vals >= lo)) - int(np.sum(vals >= hi))
 
 
 def run_census(config, out_path=None, progress=None):
@@ -185,15 +181,12 @@ def run_census(config, out_path=None, progress=None):
     next call builds a fresh pool.
     """
     base = config.validate()
-    d, mode = config.d, config.mode
-    tol = config.threshold_tol
-    if tol is None:
-        _, _, tol = default_tolerances(d)
+    lo, hi = _window(config.d, config.mode)
     # a cover counts its new spectrum: the total's count less the base's
     offset = 0 if base is None else _count(
-        _top_eigenvalues(base, d, tol, config.master_seed), d, mode, tol)
+        _top_eigenvalues(base, lo, config.master_seed), lo, hi)
     tasks = [
-        (config.model, config.n, d, mode, tol, base, offset, config.master_seed, i)
+        (config.model, config.n, config.d, lo, hi, base, offset, config.master_seed, i)
         for i in range(config.samples)
     ]
     records, reasons = [], Counter()

@@ -87,7 +87,6 @@ def _cmd_census(args):
         master_seed=args.seed,
         mode="at_least_2sqrt" if args.mode == "at2sqrt" else "strict_nonramanujan",
         base_graph_text=base_text,
-        threshold_tol=args.tol,
         workers=args.workers,
     )
     result = run_census(config, out_path=args.out)
@@ -190,7 +189,6 @@ def build_parser():
     c.add_argument("--samples", type=int, required=True)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--mode", choices=["at2sqrt", "strict"], default="at2sqrt")
-    c.add_argument("--tol", type=float, default=None)
     c.add_argument("--workers", type=int, default=1)
     c.add_argument("--out", help="CSV output path (aggregate JSON written beside it)")
     c.set_defaults(func=_cmd_census)

@@ -49,7 +49,8 @@ DENSE_EIG_LIMIT = 4096
 
 
 def default_tolerances(d):
-    """(real_tol, special_tol, threshold_tol) used by the classifiers."""
+    """(real_tol, special_tol, threshold_tol) used by the classifiers and
+    the census windows."""
     return 1e-8 * (d - 1), 1e-8 * d, 1e-9 * d
 
 
@@ -446,9 +447,10 @@ def _ihara_roots(lam, d, half, extra):
 
 
 def classify_non_ramanujan(g):
-    """Count non-Ramanujan eigenvalues of a regular graph on both the
-    Hashimoto and adjacency sides, from its dense adjacency spectrum
-    (n <= DENSE_EIG_LIMIT, else TooLarge) and the Ihara map of it.
+    """Count non-Ramanujan eigenvalues of a regular graph of degree
+    d >= 1 (else InvalidParams) on both the Hashimoto and adjacency sides,
+    from its dense adjacency spectrum (n <= DENSE_EIG_LIMIT, else
+    TooLarge) and the Ihara map of it.
 
     Hashimoto: real eigenvalues (|Im| <= real_tol) away from the special
     values +-1, +-sqrt(d-1), +-(d-1).  Adjacency: |lambda| strictly between
@@ -458,6 +460,8 @@ def classify_non_ramanujan(g):
     d = regularity(g)
     if d is None:
         raise InvalidParams("classification needs a regular graph")
+    if d == 0:
+        raise InvalidParams("classification needs degree d >= 1")
     adjacency = adjacency_spectrum(g)
     real_tol, special_tol, _ = default_tolerances(d)
     sq = np.sqrt(d - 1.0)

@@ -31,7 +31,7 @@ from nbzeta import (
 )
 from nbzeta import census as census_module
 from nbzeta import spectra
-from nbzeta.graphs import graph_from_pairs, regularity
+from nbzeta.graphs import components, graph_from_pairs, regularity
 from nbzeta.census import aggregate_json, records_csv, reproduce_section8, section8_table
 from nbzeta.spectra import default_tolerances
 
@@ -98,37 +98,6 @@ def test_config_rejects_cover_degree_mismatch():
 def test_config_rejects_nonpositive_workers():
     with pytest.raises(InvalidParams):
         _cfg(workers=0).validate()
-
-
-def test_config_rejects_strict_mode_above_dense_limit():
-    limit = spectra.DENSE_EIG_LIMIT
-    with pytest.raises(InvalidParams):
-        _cfg(mode="strict_nonramanujan", n=limit + 2).validate()
-    _cfg(mode="strict_nonramanujan", n=limit).validate()
-    # covers count the total graph: n sheets times the base vertices
-    k4 = serialize_graph(complete_graph(4))
-    with pytest.raises(InvalidParams):
-        _cfg(model="cover", d=3, mode="strict_nonramanujan", n=limit // 4 + 1,
-             base_graph_text=k4).validate()
-    _cfg(model="cover", d=3, mode="strict_nonramanujan", n=limit // 4,
-         base_graph_text=k4).validate()
-
-
-def test_config_rejects_negative_threshold_tol():
-    with pytest.raises(InvalidParams):
-        _cfg(threshold_tol=-1.0).validate()
-
-
-def test_config_rejects_non_finite_threshold_tol(monkeypatch):
-    def never(*args):
-        raise AssertionError("sampled before validation")
-
-    monkeypatch.setattr(census_module, "_one_sample", never)
-    for tol in (float("nan"), float("inf")):
-        with pytest.raises(InvalidParams, match="finite"):
-            run_census(_cfg(threshold_tol=tol))
-    _cfg(threshold_tol=0.0).validate()
-    _cfg(threshold_tol=0.0).validate()
 
 
 def test_aggregate_json_null_without_samples(monkeypatch, tmp_path):
@@ -331,11 +300,18 @@ def test_census_strict_mode_consistent_with_classifier():
 
 
 def test_census_modes_relate():
-    # at2sqrt counts strict window plus threshold hits plus eigenvalues near d
-    at = run_census(_cfg(samples=20, mode="at_least_2sqrt"))
-    st = run_census(_cfg(samples=20, mode="strict_nonramanujan"))
-    for a, s in zip(at.records, st.records):
-        assert a.count >= s.count + 1  # lambda1 = 4 itself
+    # the windows [t - 1e-9 d, inf) and [t - 1e-8 d, d - 1e-8 d) differ by
+    # lambda = d, once per component, and by values in [t - 1e-8 d,
+    # t - 1e-9 d), which no sample has
+    disconnected = 0
+    for n in (12, 20):
+        at = run_census(_cfg(n=n, samples=150, mode="at_least_2sqrt"))
+        st = run_census(_cfg(n=n, samples=150, mode="strict_nonramanujan"))
+        for a, s in zip(at.records, st.records):
+            parts = components(sample_permutation_model(n, 4, a.seed))[0]
+            disconnected += parts > 1
+            assert a.count - s.count == parts
+    assert disconnected > 0
 
 
 def test_census_cover_runs():
@@ -420,7 +396,43 @@ def _oracle_count(vals, mode, d):
     return int(np.sum(in_window) + np.sum(at_threshold))
 
 
-@pytest.mark.parametrize("mode", ["at_least_2sqrt", "strict_nonramanujan"])
+MODES = ["at_least_2sqrt", "strict_nonramanujan"]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_window_count_matches_oracle(mode):
+    # [lo, hi) counts what the census counted before it had windows: in
+    # strict mode, the threshold band |lambda - t| <= special_tol and the
+    # open interval (t + special_tol, d - special_tol) are disjoint, and
+    # their union is [t - special_tol, d - special_tol)
+    rng = np.random.default_rng(24)
+    for d in range(3, 11):
+        lo, hi = census_module._window(d, mode)
+        t = 2 * math.sqrt(d - 1)
+        _, special_tol, threshold_tol = default_tolerances(d)
+        edges = np.array([t - threshold_tol, t - special_tol, t + special_tol,
+                          d - special_tol, d])
+        for _ in range(250):
+            vals = np.concatenate([
+                rng.uniform(-d, d, rng.integers(0, 20)),
+                rng.choice(edges, 8) + rng.normal(0, 3 * special_tol, 8),
+            ])
+            assert census_module._count(vals, lo, hi) == _oracle_count(vals, mode, d)
+        for v in np.concatenate([edges - 1e-12, edges + 1e-12]):
+            assert census_module._count(np.array([v]), lo, hi) == _oracle_count([v], mode, d)
+
+
+@pytest.mark.parametrize("lo, hi", [(1.5, 3.0), (-2.0, math.inf)])
+def test_count_window_is_half_open(lo, hi):
+    below = np.nextafter(lo, -math.inf)
+    assert census_module._count(np.array([lo]), lo, hi) == 1
+    assert census_module._count(np.array([below]), lo, hi) == 0
+    assert census_module._count(np.array([hi]), lo, hi) == 0
+    assert census_module._count(np.array([np.nextafter(hi, -math.inf)]), lo, hi) == 1
+    assert census_module._count(np.array([lo, hi, below, lo]), lo, hi) == 2
+
+
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("base, n", [
     (complete_graph(4), 6),
     (petersen_graph(), 4),
@@ -590,6 +602,43 @@ def test_census_lanczos_counts_disconnected_samples(monkeypatch):
     monkeypatch.setattr(spectra.spla, "eigsh", refuse)
     sparse = run_census(cfg)
     assert sparse.failures == 0
+    assert [r.count for r in sparse.records] == [r.count for r in dense.records]
+    for s, d in zip(sparse.records, dense.records):
+        assert abs(s.lambda1 - d.lambda1) <= 1e-8 and abs(s.lambda2 - d.lambda2) <= 1e-6
+
+
+PETERSEN_TEXT = serialize_graph(petersen_graph())
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("kw", [
+    # samples 51 and 288 are disconnected
+    dict(n=100, samples=300, master_seed=31),
+    dict(model="match", d=3, n=100, samples=100),
+    dict(model="cover", d=3, n=30, samples=100, base_graph_text=K4_TEXT),
+    dict(model="cover", d=3, n=12, samples=100, base_graph_text=PETERSEN_TEXT),
+], ids=["perm", "match", "cover-K4", "cover-Petersen"])
+def test_census_modes_lanczos_match_dense(kw, mode, monkeypatch):
+    # every mode walks above the dense limit: with eigsh refused, the walk
+    # counts each window as the dense census does
+    cfg = _cfg(mode=mode, **kw)
+    dense = run_census(cfg)
+    walks = []
+    real = census_module.top_adjacency_eigenvalues
+
+    def counting(g, *args, **kwargs):
+        walks.append(g)
+        return real(g, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigsh called")
+
+    monkeypatch.setattr(census_module, "top_adjacency_eigenvalues", counting)
+    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 10)
+    monkeypatch.setattr(spectra.spla, "eigsh", refuse)
+    sparse = run_census(cfg)
+    assert len(walks) == cfg.samples  # the bases have at most 10 vertices
+    assert dense.failures == sparse.failures == 0
     assert [r.count for r in sparse.records] == [r.count for r in dense.records]
     for s, d in zip(sparse.records, dense.records):
         assert abs(s.lambda1 - d.lambda1) <= 1e-8 and abs(s.lambda2 - d.lambda2) <= 1e-6

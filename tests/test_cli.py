@@ -1,4 +1,7 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -49,14 +52,6 @@ def test_cli_census_rejects_n0(capsys):
     rc = main(["census", "--model", "perm", "--n", "0", "--samples", "3"])
     assert rc == 2
     assert "n must be >= 1" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf"])
-def test_cli_census_rejects_non_finite_tol(capsys, tol):
-    rc = main(["census", "--model", "perm", "--n", "50", "--samples", "3", "--tol", tol])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "threshold_tol must be finite" in err
 
 
 def test_cli_census_cover(tmp_path, capsys):
@@ -147,6 +142,15 @@ def test_cli_spectrum(tmp_path, capsys):
     assert out["non_ramanujan"]["is_ramanujan"] is True
 
 
+def test_cli_spectrum_classify_rejects_degree_zero(tmp_path, capsys):
+    path = tmp_path / "empty.nbg"
+    path.write_text("nbgraph v1\n3 0\n")
+    rc = main(["spectrum", "--graph", str(path), "--classify"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "d >= 1" in captured.err
+
+
 def test_cli_traces_exact(capsys):
     rc = main(["traces", "--n", "2", "--d", "4", "--k", "1", "--exact"])
     assert rc == 0
@@ -228,3 +232,18 @@ def test_cli_spectrum_missing_graph_file(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err and "missing.nbg" in err
+
+
+def test_readme_cli_flags_exist():
+    # every --flag in README's CLI section is an option of some subcommand
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = re.search(r"^## CLI\n(.*?)^## ", text, re.S | re.M).group(1)
+    flags = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section))
+    subparsers = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        flag for p in subparsers.choices.values() for flag in p._option_string_actions
+    }
+    assert flags and flags <= options, sorted(flags - options)

@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 
 from nbzeta import (
     ContourSpec,
+    InvalidParams,
     TooLarge,
     UncertainCount,
     adjacency_spectrum,
@@ -509,6 +510,12 @@ def test_classify_witness(witness_graph):
     w = adjacency_spectrum(witness_graph)
     lo, hi = 2 * np.sqrt(3), 4
     assert nr.a_positive == int(np.sum((w > lo + 1e-7) & (w < hi - 1e-7)))
+
+
+def test_classify_rejects_degree_zero():
+    # 2*sqrt(d-1) has no real value at d = 0
+    with pytest.raises(InvalidParams, match="d >= 1"):
+        classify_non_ramanujan(parse_graph("nbgraph v1\n3 0\n"))
 
 
 def test_h_equals_2a_on_half_loop_free_samples():
